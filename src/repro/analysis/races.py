@@ -47,6 +47,7 @@ fixed by the engine's accounting phase.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from repro.analysis.sanitizer import SimSanitizer, Violation
@@ -86,7 +87,10 @@ def _data_attrs(cls: type) -> frozenset:
 
 
 def _fn_label(fn) -> str:
-    """Stable human-readable label for a callback (qualname + instance)."""
+    """Stable human-readable label for a callback (qualname + instance).
+    A ``functools.partial`` is labelled by the function it wraps."""
+    while isinstance(fn, partial):
+        fn = fn.func
     q = getattr(fn, "__qualname__", repr(fn))
     owner = getattr(fn, "__self__", None)
     if owner is not None:

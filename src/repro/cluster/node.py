@@ -12,7 +12,7 @@ the default ``n_pcpus``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.cluster.cache import CacheParams, PCPUCache
 from repro.sim.units import MSEC, USEC
@@ -83,8 +83,9 @@ class Disk:
 class PCPU:
     """One physical core.
 
-    The VMM mutates ``current``/``slice_end_ev``; this class only tracks
-    hardware-side state and counters.
+    The VMM mutates ``current``/``slice_end_ev`` and binds
+    ``slice_end_fn``; this class only tracks hardware-side state and
+    counters.
     """
 
     __slots__ = (
@@ -93,6 +94,7 @@ class PCPU:
         "cache",
         "current",
         "slice_end_ev",
+        "slice_end_fn",
         "run_start_ns",
         "context_switches",
         "busy_ns",
@@ -105,6 +107,7 @@ class PCPU:
         self.cache = PCPUCache(cache_params)
         self.current: Optional["VCPU"] = None
         self.slice_end_ev = None
+        self.slice_end_fn: Optional[Callable[[], None]] = None
         self.run_start_ns = 0
         self.context_switches = 0
         self.busy_ns = 0

@@ -176,13 +176,19 @@ class GuestProcess:
         self._pushback: Optional[Segment] = None
         self.state = "init"
         self._remaining = 0
-        self._work_started = 0
+        #: When the current work stretch began; ``None`` while no work is in
+        #: progress.  ``_work_ev`` is ``None`` also when the VMM skipped the
+        #: timer because the slice ends first (:meth:`VMM.arm_runner_timer`).
+        self._work_started: Optional[int] = None
         self._work_ev = None
         self._poll_ev = None
         self._spin_start = 0
         self._spin_kind = ""
         self._spin_cpu_used = 0
-        self._grace_started = 0
+        #: When the current grace-budgeted spin stretch began; ``None`` while
+        #: not spinning against a budget (``_grace_ev`` may be ``None`` while
+        #: it runs, as for work).
+        self._grace_started: Optional[int] = None
         self._grace_ev = None
         self._granted = False
         self.mailbox = 0
@@ -221,7 +227,7 @@ class GuestProcess:
         if st in ("compute", "crit", "bar_crit"):
             self._remaining += overhead_ns
             self._work_started = now
-            self._work_ev = self.sim.after(self._remaining, self._work_done, cat="guest")
+            self._work_ev = self._arm_timer(self._remaining, self._work_done)
         elif st in ("lock_spin", "bar_lock_spin", "bar_wait", "recv_spin"):
             if self._spin_resolved():
                 self._schedule_poll()
@@ -237,14 +243,18 @@ class GuestProcess:
             self._schedule_poll()
 
     def on_preempt(self, now: int) -> None:
-        if self._work_ev is not None:
-            self._work_ev.cancel()
-            self._work_ev = None
+        if self._work_started is not None:
             self._remaining = max(0, self._remaining - (now - self._work_started))
-        if self._grace_ev is not None:
-            self._grace_ev.cancel()
-            self._grace_ev = None
+            self._work_started = None
+            if self._work_ev is not None:
+                self._work_ev.cancel()
+                self._work_ev = None
+        if self._grace_started is not None:
             self._spin_cpu_used += now - self._grace_started
+            self._grace_started = None
+            if self._grace_ev is not None:
+                self._grace_ev.cancel()
+                self._grace_ev = None
         if self._poll_ev is not None:
             self._poll_ev.cancel()
             self._poll_ev = None
@@ -293,6 +303,11 @@ class GuestProcess:
         if self._poll_ev is None:
             self._poll_ev = self.sim.after(0, self._poll, cat="guest")
 
+    def _arm_timer(self, delay: int, fn: Callable[[], None]):
+        """Arm a work or grace deadline through the VMM, which skips it
+        (returning ``None``) when the slice ends first."""
+        return self.vm.node.vmm.arm_runner_timer(self.vcpu, delay, fn, "guest")
+
     # ------------------------------------------------------------------
     # Spin-then-block mechanics
     # ------------------------------------------------------------------
@@ -308,15 +323,14 @@ class GuestProcess:
         budget = self.kernel.spin_block_ns
         if budget is None:
             return  # pure spinning (no PV-block): burn the slice
-        remaining = budget - self._spin_cpu_used
         self._grace_started = now
-        if remaining <= 0:
-            self._grace_ev = self.sim.after(0, self._spin_block_timeout, cat="guest")
-        else:
-            self._grace_ev = self.sim.after(remaining, self._spin_block_timeout, cat="guest")
+        self._grace_ev = self._arm_timer(
+            max(0, budget - self._spin_cpu_used), self._spin_block_timeout
+        )
 
     def _spin_block_timeout(self) -> None:
         self._grace_ev = None
+        self._grace_started = None
         if self.vcpu.state is not VCPUState.RUNNING:
             return
         if self.state not in ("lock_spin", "bar_lock_spin", "bar_wait", "recv_spin"):
@@ -350,6 +364,7 @@ class GuestProcess:
         self._poll_ev = None
         if self.vcpu.state is not VCPUState.RUNNING:
             return
+        self._grace_started = None
         if self._grace_ev is not None:
             self._grace_ev.cancel()
             self._grace_ev = None
@@ -479,7 +494,7 @@ class GuestProcess:
     def _begin_work(self, ns: int) -> None:
         self._remaining = ns
         self._work_started = self.sim.now
-        self._work_ev = self.sim.after(ns, self._work_done, cat="guest")
+        self._work_ev = self._arm_timer(ns, self._work_done)
 
     def _begin_crit(self, state: str) -> None:
         self.state = state
@@ -495,6 +510,7 @@ class GuestProcess:
 
     def _work_done(self) -> None:
         self._work_ev = None
+        self._work_started = None
         st = self.state
         if st == "compute":
             self._advance()

@@ -114,7 +114,10 @@ class _Dom0Worker:
         self.cur_cost = 0
         self.cur_fn: Optional[Callable[[], None]] = None
         self._ev = None
-        self._started = 0
+        #: When the current job's stretch began; ``None`` while no job runs.
+        #: ``_ev`` is ``None`` also when the VMM skipped the timer because
+        #: the slice ends first (:meth:`VMM.arm_runner_timer`).
+        self._started: Optional[int] = None
         self._block_ev = None
         self._epoch = 0  # bumped on every dispatch/preempt (reentrancy guard)
 
@@ -127,7 +130,7 @@ class _Dom0Worker:
         if self.cur_fn is not None:
             self.cur_cost += overhead_ns
             self._started = now
-            self._ev = self.sim.after(self.cur_cost, self._finish, cat="dom0")
+            self._ev = self._arm_finish()
         elif self.dom0.queue:
             self._start_next(overhead_ns)
         else:
@@ -137,15 +140,20 @@ class _Dom0Worker:
 
     def on_preempt(self, now: int) -> None:
         self._epoch += 1
-        if self._ev is not None:
-            self._ev.cancel()
-            self._ev = None
+        if self._started is not None:
             self.cur_cost = max(0, self.cur_cost - (now - self._started))
+            self._started = None
+            if self._ev is not None:
+                self._ev.cancel()
+                self._ev = None
         if self._block_ev is not None:
             self._block_ev.cancel()
             self._block_ev = None
 
     # Internals ----------------------------------------------------------
+    def _arm_finish(self):
+        return self.dom0.vmm.arm_runner_timer(self.vcpu, self.cur_cost, self._finish, "dom0")
+
     def _idle_block(self) -> None:
         self._block_ev = None
         if self.vcpu.state is VCPUState.RUNNING and self.cur_fn is None and not self.dom0.queue:
@@ -156,10 +164,11 @@ class _Dom0Worker:
         self.cur_cost = cost + overhead_ns
         self.cur_fn = fn
         self._started = self.sim.now
-        self._ev = self.sim.after(self.cur_cost, self._finish, cat="dom0")
+        self._ev = self._arm_finish()
 
     def _finish(self) -> None:
         self._ev = None
+        self._started = None
         fn = self.cur_fn
         self.cur_fn = None
         self.cur_cost = 0

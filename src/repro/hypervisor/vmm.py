@@ -18,6 +18,7 @@ PCPU transaction.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.hypervisor.vm import VCPU, VCPUState, VM
@@ -26,7 +27,7 @@ from repro.sim.units import MSEC
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import PCPU, PhysicalNode
-    from repro.sim.engine import Simulator
+    from repro.sim.engine import Event, Simulator
 
 __all__ = ["VMM"]
 
@@ -64,6 +65,9 @@ class VMM:
         #: scheduler's own accounting (ATC controller, CS trigger, ...).
         self.period_hooks: list[Callable[[int], None]] = []
         self.total_context_switches = 0
+        # One slice-end callback per PCPU, bound once instead of per dispatch.
+        for pcpu in node.pcpus:
+            pcpu.slice_end_fn = partial(self._on_slice_end, pcpu)
         self.scheduler = scheduler_factory(self)
 
     # ------------------------------------------------------------------
@@ -139,11 +143,27 @@ class VMM:
             vcpu.vm.llc_misses += misses
             vcpu.vm.llc_penalty_ns += penalty
 
-        pcpu.slice_end_ev = self.sim.after(
-            slice_ns, lambda p=pcpu: self._on_slice_end(p), cat="vmm.slice"
-        )
+        pcpu.slice_end_ev = self.sim.at(now + slice_ns, pcpu.slice_end_fn, cat="vmm.slice")
         if runner is not None:
             runner.on_dispatch(now, overhead)
+
+    def arm_runner_timer(
+        self, vcpu: VCPU, delay: int, fn: Callable[[], None], cat: str
+    ) -> Optional["Event"]:
+        """Schedule a running VCPU's work or grace deadline ``delay`` ns out.
+
+        The timer is pushed only if it pops before the slice end armed on
+        the VCPU's PCPU; otherwise ``None`` is returned and nothing is
+        queued.  Exact either way: a slice end always runs the runner's
+        ``on_preempt``, which would cancel that timer unfired, and the
+        runner accounts its progress from its own start stamp rather than
+        from the timer handle.
+        """
+        sim = self.sim
+        time = sim.now + delay
+        if sim.pops_before(time, cat, vcpu.pcpu.slice_end_ev):
+            return sim.at(time, fn, cat)
+        return None
 
     def _stop_current(self, pcpu: "PCPU", next_state: VCPUState) -> VCPU:
         """Common tail of every deschedule path: accounting + cache."""

@@ -148,13 +148,15 @@ class Event:
     and can be cancelled.  A cancelled event is skipped by the main loop.
     """
 
-    __slots__ = ("time", "seq", "fn", "cancelled", "cat")
+    __slots__ = ("time", "key", "fn", "cancelled", "cat")
 
     def __init__(
-        self, time: int, seq: int, fn: Callable[[], None], cat: Optional[str] = None
+        self, time: int, key: int, fn: Callable[[], None], cat: Optional[str] = None
     ) -> None:
         self.time = time
-        self.seq = seq
+        #: The entry's queue key (phase, tie sign and sequence number in one
+        #: int; see :data:`_PHASE_STRIDE`): ``(time, key)`` is the pop order.
+        self.key = key
         self.fn: Optional[Callable[[], None]] = fn
         self.cancelled = False
         #: Profiling category tag (``"guest"``, ``"dom0"``, ``"vmm.slice"``,
@@ -167,16 +169,17 @@ class Event:
         self.fn = None  # break reference cycles / free closure early
 
     # Ordering ------------------------------------------------------------
-    # Queue entries are tuples keyed by (time, seq), so the queue never
-    # compares Event objects; __lt__ is kept for introspection and tests.
+    # Queue entries are tuples keyed by (time, key), so the queue never
+    # compares Event objects; __lt__ is kept for introspection and tests
+    # and agrees with the pop order under every phase and tie order.
     def __lt__(self, other: "Event") -> bool:
         if self.time != other.time:
             return self.time < other.time
-        return self.seq < other.seq
+        return self.key < other.key
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
-        return f"<Event t={self.time} seq={self.seq} {state}>"
+        return f"<Event t={self.time} key={self.key} {state}>"
 
 
 def _entry_live(entry: tuple) -> bool:
@@ -417,10 +420,10 @@ class Simulator:
                 f"cannot schedule event at t={time} before now={self.now}"
             )
         time = int(time)
-        ev = Event(time, self._seq, fn, cat)
         key = self._seqsign * self._seq
         if cat not in ACCOUNTING_CATS:
             key += _PHASE_STRIDE
+        ev = Event(time, key, fn, cat)
         entry = (time, key, ev)
         self._seq += 1
         if self._q is None:
@@ -461,6 +464,21 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         self.post_at(self.now + int(delay), fn, cat)
+
+    def pops_before(self, time: int, cat: Optional[str], ev: Event) -> bool:
+        """Would an entry scheduled now at ``time`` in category ``cat`` pop
+        before the queued event ``ev``?
+
+        Compares the exact queue key the entry would get, so phase and tie
+        order count: under ``tie_order="reversed"`` a new entry at
+        ``ev.time`` in ``ev``'s phase pops first.
+        """
+        if time != ev.time:
+            return time < ev.time
+        key = self._seqsign * self._seq
+        if cat not in ACCOUNTING_CATS:
+            key += _PHASE_STRIDE
+        return key < ev.key
 
     # ------------------------------------------------------------------
     # Execution

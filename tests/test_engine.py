@@ -174,6 +174,48 @@ def test_event_ordering_operator():
     assert c < a < b
 
 
+def _popped(sim, events):
+    """Run ``sim`` and return ``events`` in the order their callbacks fire."""
+    order = []
+    for ev in events:
+        ev.fn = (lambda e=ev: order.append(e))
+    sim.run()
+    return order
+
+
+@pytest.mark.parametrize("queue", ["heap", "bucket"])
+@pytest.mark.parametrize("tie_order", ["fifo", "reversed"])
+def test_event_ordering_operator_matches_pop_order(queue, tie_order):
+    """``<`` sorts events exactly as the queue pops them: under "reversed"
+    a later same-time event sorts first, and a same-time ``vmm.period``
+    event sorts before every default-phase one."""
+    sim = Simulator(queue=queue, tie_order=tie_order)
+    cats = [None, "vmm.period", "guest", "vmm.slice", "vmm.period", None]
+    evs = [sim.at(t, lambda: None, cat) for t in (5, 3) for cat in cats]
+    assert sorted(evs) == _popped(sim, evs)
+
+
+@pytest.mark.parametrize("tie_order", ["fifo", "reversed"])
+@pytest.mark.parametrize("cat", [None, "guest", "vmm.period"])
+@pytest.mark.parametrize("time", [4, 5, 6])
+def test_pops_before_predicts_the_next_entry(time, cat, tie_order):
+    """``pops_before`` answers for the entry ``at`` would push next."""
+    for ref_cat in ("vmm.slice", "vmm.period"):
+        sim = Simulator(tie_order=tie_order)
+        ref = sim.at(5, lambda: None, ref_cat)
+        predicted = sim.pops_before(time, cat, ref)
+        new = sim.at(time, lambda: None, cat)
+        assert predicted == (new < ref)
+        assert _popped(sim, [ref, new])[0] is (new if predicted else ref)
+
+
+def test_pops_before_equal_time_depends_on_tie_order():
+    fifo = Simulator(tie_order="fifo")
+    assert not fifo.pops_before(5, "guest", fifo.at(5, lambda: None, "vmm.slice"))
+    rev = Simulator(tie_order="reversed")
+    assert rev.pops_before(5, "guest", rev.at(5, lambda: None, "vmm.slice"))
+
+
 def test_large_volume_determinism():
     """Two identical simulations process events identically."""
 

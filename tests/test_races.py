@@ -106,6 +106,31 @@ def test_injected_non_commuting_pair_flagged_san008():
     assert v.context["kind"] == "W-W"
 
 
+def test_partial_callbacks_dedup_by_wrapped_function():
+    """Callbacks bound per object with ``functools.partial`` (the VMM's
+    per-PCPU slice end) are one code pattern, however their arguments
+    print."""
+    from functools import partial
+
+    sim = Simulator()
+    locks = [SpinLock(f"l{i}") for i in range(3)]
+    tracker = _tracked(sim)
+    try:
+
+        def bump(lk, n):
+            locks[0].acquisitions = n
+            lk.acquisitions = n
+
+        for t in (100, 200):
+            for i, lk in enumerate(locks):
+                sim.at(t, partial(bump, lk, i), cat="test")
+        sim.run()
+    finally:
+        tracker.detach()
+    assert tracker.total_suspects == 6
+    assert len(tracker.suspects) == 1
+
+
 def test_read_write_overlap_flagged():
     sim = Simulator()
     lock = SpinLock("shared")
