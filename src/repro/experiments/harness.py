@@ -78,12 +78,6 @@ class WorldConfig:
     period_ns: int = 30 * MSEC
     #: Deterministic seed for all workload randomness.
     seed: int = 0
-    #: Event-queue backend for the simulator: "heap", "bucket", or ``None``
-    #: to follow the ``REPRO_EVENT_QUEUE`` env var (default heap).  Both
-    #: backends produce bit-identical results (same (time, seq) order);
-    #: "bucket" trades per-push heap churn for O(1) inserts at the deep
-    #: queue depths of full-scale worlds.
-    event_queue: Optional[str] = None
     #: Tie-order mode among same-timestamp events: "fifo", "reversed", or
     #: ``None`` to follow the ``REPRO_TIE_ORDER`` env var (default fifo).
     #: "reversed" is the race-detector differential mode (see
@@ -144,7 +138,7 @@ class CloudWorld:
     def __init__(self, config: WorldConfig | None = None) -> None:
         self.config = config or WorldConfig()
         cfg = self.config
-        self.sim = Simulator(queue=cfg.event_queue, tie_order=cfg.tie_order)
+        self.sim = Simulator(tie_order=cfg.tie_order)
         self.rng = SimRNG(cfg.seed)
         self.cluster: Cluster = build_cluster(
             self.sim, cfg.n_nodes, cfg.node_params, cfg.net_params

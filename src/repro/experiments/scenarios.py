@@ -98,7 +98,6 @@ def _world(
     migration: Optional[dict] = None,
     service: Optional[dict] = None,
     dfrs: Optional[dict] = None,
-    event_queue: Optional[str] = None,
     tie_order: Optional[str] = None,
 ) -> CloudWorld:
     # Fault plans, migration/service/DFRS configs travel through scenario
@@ -108,7 +107,6 @@ def _world(
     return CloudWorld(
         WorldConfig(
             n_nodes=n_nodes,
-            event_queue=event_queue,
             tie_order=tie_order,
             vms_per_node=vms_per_node,
             vcpus_per_vm=vcpus_per_vm,
@@ -171,7 +169,6 @@ def run_type_a(
     trace_capacity: int = 65536,
     profile: bool = False,
     faults: Optional[Sequence[dict]] = None,
-    event_queue: Optional[str] = None,
     tie_order: Optional[str] = None,
 ) -> dict:
     """Evaluation type A (Figs. 1, 10): four identical virtual clusters,
@@ -180,16 +177,14 @@ def run_type_a(
     ``uniform_slice_ms`` forces a static guest slice (CR sweeps and the
     ``repro trace`` CLI); ``trace``/``profile`` attach the observability
     layers and fold their outputs into the result; ``faults`` is a fault
-    plan as dict list (:meth:`repro.faults.plan.FaultPlan.to_dicts`);
-    ``event_queue`` selects the simulator queue backend (bit-identical
-    across backends — see :mod:`repro.sim.engine`).
+    plan as dict list (:meth:`repro.faults.plan.FaultPlan.to_dicts`).
     """
     world = _world(
         n_nodes, scheduler, seed, sched_params=sched_params,
         vcpus_per_vm=vcpus_per_vm, sanitize=sanitize,
         uniform_slice_ns=None if uniform_slice_ms is None else ns_from_ms(uniform_slice_ms),
         trace=trace, trace_capacity=trace_capacity, profile=profile, faults=faults,
-        event_queue=event_queue, tie_order=tie_order,
+        tie_order=tie_order,
     )
     apps = []
     for k in range(n_vclusters):
@@ -225,7 +220,6 @@ def run_table1_cell(
     sched_params: Optional[SchedulerParams] = None,
     sanitize: bool = False,
     profile: bool = False,
-    event_queue: Optional[str] = None,
     tie_order: Optional[str] = None,
 ) -> dict:
     """One full-scale Table-I trace cell: the paper's exact 32-node /
@@ -245,7 +239,7 @@ def run_table1_cell(
     world = _world(
         n_nodes, scheduler, seed, sched_params=sched_params,
         vcpus_per_vm=mix.vcpus_per_vm, vms_per_node=4, sanitize=sanitize,
-        profile=profile, event_queue=event_queue, tie_order=tie_order,
+        profile=profile, tie_order=tie_order,
     )
     rng = world.rng.substream(999)
     vc_apps = []

@@ -21,10 +21,6 @@ Cases:
     fire-and-forget ``post_after`` fast path) plus a cancel-heavy chain,
     no cluster on top.  Measures raw queue throughput and the
     lazy-cancellation waste path.
-``engine_bucket``
-    The identical workload on the calendar-bucket event queue
-    (``Simulator(queue="bucket")``), so a bucket-queue regression is
-    caught independently of the default heap.
 ``type_a_cr``
     A scaled-down evaluation-type-A world under Credit — the dominant CI
     workload shape (schedulers + guests + dom0 + network all live).
@@ -147,11 +143,11 @@ def _seed_engine_workload(sim: Simulator, hops: int) -> None:
     post(0, cancelling, cat="canceller")
 
 
-def _case_engine(quick: bool, queue: str = "heap") -> dict:
-    """Raw event-loop churn on the selected queue backend."""
+def _case_engine(quick: bool) -> dict:
+    """Raw event-loop churn."""
     hops = 400 if quick else 4000
 
-    sim = Simulator(queue=queue)
+    sim = Simulator()
     _seed_engine_workload(sim, hops)
     t0 = time.perf_counter()  # repro: ignore[RPR001]  (host wall-clock only)
     sim.run()
@@ -162,7 +158,7 @@ def _case_engine(quick: bool, queue: str = "heap") -> dict:
         "events": sim.events_processed,
     }
 
-    sim2 = Simulator(queue=queue)
+    sim2 = Simulator()
     prof = SimProfiler(sim2)
     _seed_engine_workload(sim2, hops)
     sim2.run()
@@ -211,7 +207,6 @@ def _case_table1_cell(quick: bool) -> dict:
 #: fastest repetition (standard best-of-N noise rejection for short cases).
 CASES: dict[str, tuple[Callable[[bool], dict], int]] = {
     "engine": (_case_engine, 5),
-    "engine_bucket": (lambda quick: _case_engine(quick, queue="bucket"), 5),
     "type_a_cr": (lambda quick: _run_type_a("CR", quick), 3),
     "type_a_atc": (lambda quick: _run_type_a("ATC", quick), 3),
     "table1_cell": (_case_table1_cell, 1),

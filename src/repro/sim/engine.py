@@ -1,25 +1,13 @@
 """Discrete-event simulation engine.
 
 A minimal, fast event-queue kernel in the style of classic DES libraries:
-events are ``(time, sequence, callback)`` tuples kept in a pluggable
-priority queue.  The sequence number breaks ties deterministically (FIFO
-among simultaneous events), which keeps whole-cluster simulations
-bit-reproducible for a given seed.
-
-Two queue backends share the exact ``(time, seq)`` total order:
-
-* ``"heap"`` (default) — a binary heap (:mod:`heapq`).  Queue entries are
-  plain tuples, so every sift comparison is a C-level tuple compare; the
-  ``Event`` handle rides in slot 2 and is never compared.
-* ``"bucket"`` — a calendar queue (:class:`BucketQueue`): events hash into
-  time buckets of a fixed width, only the *current* bucket epoch is kept
-  heap-ordered, and future buckets are unsorted append-only lists.  Push
-  is O(1) for future events, which beats the heap's O(log n) churn at the
-  deep queue depths of full-scale (32-node / 256-VCPU) runs.
-
-Both backends pop events in an identical order, so simulation results are
-bit-identical regardless of backend (enforced by a differential test).
-Select with ``Simulator(queue="bucket")`` or ``REPRO_EVENT_QUEUE=bucket``.
+events are ``(time, key, callback)`` tuples kept in a binary heap
+(:mod:`heapq`).  The key encodes the event's phase and sequence number
+(see :data:`_PHASE_STRIDE`) and breaks ties deterministically (FIFO among
+simultaneous events by default), which keeps whole-cluster simulations
+bit-reproducible for a given seed.  Queue entries are plain tuples, so
+every sift comparison is a C-level int compare; the ``Event`` handle
+rides in slot 2 and is never compared.
 
 Design notes (following the repository's HPC-Python guidelines):
 
@@ -31,7 +19,7 @@ Design notes (following the repository's HPC-Python guidelines):
 * fire-and-forget callbacks that are never cancelled can skip the
   ``Event`` handle entirely via :meth:`Simulator.post_at` /
   :meth:`Simulator.post_after` — the queue entry is then a bare
-  ``(time, seq, fn, cat)`` tuple with no per-event object allocation;
+  ``(time, key, fn, cat)`` tuple with no per-event object allocation;
 * callbacks receive no arguments; closures or ``functools.partial`` bind
   whatever context they need.  This keeps the queue entries small.
 """
@@ -39,18 +27,16 @@ Design notes (following the repository's HPC-Python guidelines):
 from __future__ import annotations
 
 import os
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Callable, Iterator, Optional
 
 __all__ = [
     "Event",
-    "BucketQueue",
     "Simulator",
     "SimulationError",
     "WatchdogExceeded",
     "install_watchdog",
     "on_simulator_created",
-    "EVENT_QUEUE_KINDS",
     "TIE_ORDERS",
     "ACCOUNTING_CATS",
 ]
@@ -60,9 +46,6 @@ __all__ = [
 #: self-profiler to simulators created deep inside scenario builders without
 #: threading a reference through every call site.  ``None`` disables it.
 on_simulator_created: Optional[Callable[["Simulator"], None]] = None
-
-#: Recognized queue backends.
-EVENT_QUEUE_KINDS = ("heap", "bucket")
 
 #: Recognized tie-order modes for events sharing a timestamp.  ``"fifo"``
 #: (default) pops simultaneous events in scheduling order; ``"reversed"``
@@ -188,146 +171,6 @@ def _entry_live(entry: tuple) -> bool:
     return not (ev.__class__ is Event and ev.cancelled)
 
 
-class BucketQueue:
-    """A calendar queue over ``(time, seq, ...)`` entries.
-
-    Simulated time is divided into epochs of ``width`` ns.  Entries whose
-    epoch is at or before the *current* epoch live in ``_cur``, a small
-    binary heap; later entries are appended (unsorted, O(1)) to one of
-    ``nbuckets`` circular bucket lists indexed by ``epoch % nbuckets``.
-    When the current heap drains, :meth:`_advance` scans forward for the
-    next populated epoch and heapifies just that epoch's entries.
-
-    Ordering invariant: every entry in a future bucket has an epoch
-    strictly greater than the current one, hence a time strictly greater
-    than every entry in ``_cur`` — so the minimum of ``_cur`` is the
-    global minimum and pops follow the exact ``(time, seq)`` order of the
-    binary-heap backend.
-
-    The queue resizes deterministically (based only on its own contents,
-    never on host state) when occupancy outgrows the bucket array, keeping
-    per-epoch heaps small for full-scale workloads.
-    """
-
-    __slots__ = ("_w", "_n", "_mask", "_buckets", "_cur", "_epoch", "_size")
-
-    def __init__(self, width: int = 4096, nbuckets: int = 1024) -> None:
-        if width < 1 or nbuckets < 2 or nbuckets & (nbuckets - 1):
-            raise SimulationError(
-                f"bucket queue needs width >= 1 and power-of-two buckets, "
-                f"got width={width} nbuckets={nbuckets}"
-            )
-        self._w = width
-        self._n = nbuckets
-        self._mask = nbuckets - 1
-        self._buckets: list[list] = [[] for _ in range(nbuckets)]
-        self._cur: list = []  # heap of entries in epochs <= _epoch
-        self._epoch = 0
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __iter__(self) -> Iterator[tuple]:
-        yield from self._cur
-        for lst in self._buckets:
-            yield from lst
-
-    def push(self, entry: tuple) -> None:
-        e = entry[0] // self._w
-        if e <= self._epoch:
-            heappush(self._cur, entry)
-        else:
-            self._buckets[e & self._mask].append(entry)
-        self._size += 1
-        if self._size > 2 * self._n:
-            self._resize()
-
-    def peekentry(self) -> Optional[tuple]:
-        if not self._size:
-            return None
-        if not self._cur:
-            self._advance()
-        return self._cur[0]
-
-    def pop(self) -> tuple:
-        if not self._cur:
-            self._advance()
-        self._size -= 1
-        return heappop(self._cur)
-
-    # ------------------------------------------------------------------
-    def _advance(self) -> None:
-        """Move the current epoch forward to the next populated one.
-
-        Scans at most ``nbuckets`` epochs; past that (a sparse far-future
-        schedule) it falls back to a direct minimum search and jumps
-        straight to the earliest entry's epoch.
-        """
-        w = self._w
-        mask = self._mask
-        buckets = self._buckets
-        e = self._epoch + 1
-        scanned = 0
-        while True:
-            lst = buckets[e & mask]
-            if lst:
-                cur = [x for x in lst if x[0] // w == e]
-                if cur:
-                    if len(cur) == len(lst):
-                        buckets[e & mask] = []
-                    else:
-                        buckets[e & mask] = [x for x in lst if x[0] // w != e]
-                    heapify(cur)
-                    self._cur = cur
-                    self._epoch = e
-                    return
-            e += 1
-            scanned += 1
-            if scanned >= self._n:
-                mt = None
-                for lst in buckets:
-                    for x in lst:
-                        if mt is None or x[0] < mt:
-                            mt = x[0]
-                if mt is None:  # pragma: no cover - guarded by _size
-                    raise SimulationError("bucket queue empty in _advance")
-                e = mt // w
-                scanned = 0
-
-    def _resize(self) -> None:
-        """Grow the bucket array; deterministic in queue contents only.
-
-        New geometry: ``nbuckets`` = smallest power of two >= 2x the live
-        entry count, ``width`` ~ 3x the mean inter-entry spacing (span /
-        size), so one epoch holds a handful of entries on average.
-        """
-        entries = list(self)
-        size = len(entries)
-        lo = min(x[0] for x in entries)
-        hi = max(x[0] for x in entries)
-        span = hi - lo
-        n = 2
-        while n < 2 * size:
-            n *= 2
-        w = max(1, (3 * span) // size) if span else self._w
-        self._w = w
-        self._n = n
-        self._mask = n - 1
-        self._buckets = [[] for _ in range(n)]
-        # Anchor the epoch at the earliest entry so it lands in _cur.
-        self._epoch = lo // w
-        cur: list = []
-        for x in entries:
-            e = x[0] // w
-            if e <= self._epoch:
-                cur.append(x)
-            else:
-                self._buckets[e & self._mask].append(x)
-        heapify(cur)
-        self._cur = cur
-
-
 class Simulator:
     """The discrete-event simulation kernel.
 
@@ -338,8 +181,6 @@ class Simulator:
     events_processed:
         Number of callbacks executed so far (skipped/cancelled events do
         not count).
-    queue_kind:
-        The active backend, ``"heap"`` or ``"bucket"``.
     tie_order:
         How simultaneous events are ordered: ``"fifo"`` (default) or
         ``"reversed"`` (the race-detector differential mode — see
@@ -349,8 +190,6 @@ class Simulator:
     __slots__ = (
         "now",
         "_heap",
-        "_q",
-        "queue_kind",
         "tie_order",
         "_seqsign",
         "_seq",
@@ -361,13 +200,7 @@ class Simulator:
         "profiler",
     )
 
-    def __init__(self, queue: Optional[str] = None, tie_order: Optional[str] = None) -> None:
-        if queue is None:
-            queue = os.environ.get("REPRO_EVENT_QUEUE") or "heap"
-        if queue not in EVENT_QUEUE_KINDS:
-            raise SimulationError(
-                f"unknown event queue {queue!r}; expected one of {EVENT_QUEUE_KINDS}"
-            )
+    def __init__(self, tie_order: Optional[str] = None) -> None:
         if tie_order is None:
             tie_order = os.environ.get("REPRO_TIE_ORDER") or "fifo"
         if tie_order not in TIE_ORDERS:
@@ -380,15 +213,12 @@ class Simulator:
         #: the instance so the hot scheduling path pays one multiply and
         #: no branch, and the (time, seq) key stays a pure int tuple.
         self._seqsign = 1 if tie_order == "fifo" else -1
-        self.queue_kind = queue
         self.now: int = 0
-        #: Binary-heap backend storage.  Entries are ``(time, key, Event)``
+        #: The event queue, a binary heap.  Entries are ``(time, key, Event)``
         #: or ``(time, key, fn, cat)`` tuples (see :meth:`post_at`), where
         #: ``key`` encodes phase and (sign-adjusted) sequence number in one
         #: int; heapq therefore only ever compares ints, never objects.
         self._heap: list = []
-        #: Calendar-queue backend (``None`` for the heap backend).
-        self._q: Optional[BucketQueue] = BucketQueue() if queue == "bucket" else None
         self._seq: int = 0
         self.events_processed: int = 0
         #: Cancelled events lazily discarded when popped (waste metric).
@@ -424,12 +254,8 @@ class Simulator:
         if cat not in ACCOUNTING_CATS:
             key += _PHASE_STRIDE
         ev = Event(time, key, fn, cat)
-        entry = (time, key, ev)
         self._seq += 1
-        if self._q is None:
-            heappush(self._heap, entry)
-        else:
-            self._q.push(entry)
+        heappush(self._heap, (time, key, ev))
         return ev
 
     def after(self, delay: int, fn: Callable[[], None], cat: Optional[str] = None) -> Event:
@@ -441,7 +267,7 @@ class Simulator:
     def post_at(self, time: int, fn: Callable[[], None], cat: Optional[str] = None) -> None:
         """Fire-and-forget :meth:`at`: no :class:`Event` handle, no cancel.
 
-        The queue entry is a bare ``(time, seq, fn, cat)`` tuple — use this
+        The queue entry is a bare ``(time, key, fn, cat)`` tuple — use this
         on hot paths that never cancel (message deliveries, stat ticks) to
         skip the per-event object allocation.
         """
@@ -452,12 +278,8 @@ class Simulator:
         key = self._seqsign * self._seq
         if cat not in ACCOUNTING_CATS:
             key += _PHASE_STRIDE
-        entry = (int(time), key, fn, cat)
         self._seq += 1
-        if self._q is None:
-            heappush(self._heap, entry)
-        else:
-            self._q.push(entry)
+        heappush(self._heap, (int(time), key, fn, cat))
 
     def post_after(self, delay: int, fn: Callable[[], None], cat: Optional[str] = None) -> None:
         """Fire-and-forget :meth:`after` (see :meth:`post_at`)."""
@@ -494,60 +316,32 @@ class Simulator:
 
     def peek(self) -> Optional[int]:
         """Time of the next pending (non-cancelled) event, or ``None``."""
-        if self._q is None:
-            heap = self._heap
-            while heap:
-                entry = heap[0]
-                ev = entry[2]
-                if ev.__class__ is Event and ev.cancelled:
-                    heappop(heap)
-                    self.cancelled_popped += 1
-                    continue
-                return entry[0]
-            return None
-        q = self._q
-        while True:
-            entry = q.peekentry()
-            if entry is None:
-                return None
+        heap = self._heap
+        while heap:
+            entry = heap[0]
             ev = entry[2]
             if ev.__class__ is Event and ev.cancelled:
-                q.pop()
+                heappop(heap)
                 self.cancelled_popped += 1
                 continue
             return entry[0]
+        return None
 
     def step(self) -> bool:
-        """Execute the next pending event.  Returns False if queue empty."""
-        pop = (lambda: heappop(self._heap)) if self._q is None else self._q.pop
-        size = (lambda: len(self._heap)) if self._q is None else self._q.__len__
-        while size():
-            entry = pop()
-            ev = entry[2]
-            if ev.__class__ is Event:
-                if ev.cancelled:
-                    self.cancelled_popped += 1
-                    continue
-                fn = ev.fn
-                ev.fn = None
-            else:
-                fn = ev
-            self.now = entry[0]
-            if self.trace is not None:
-                self.trace(self.now, fn)
-            if self.profiler is None:
-                fn()
-            else:
-                self.profiler.run_event(
-                    ev.cat if ev.__class__ is Event else entry[3], fn, size() + 1
-                )
-            self.events_processed += 1
-            return True
-        return False
+        """Execute the next pending event; True iff a callback ran.
+
+        Runs the :meth:`run` loop with a budget of one event: cancelled
+        entries ahead of it are discarded (and counted in
+        :attr:`cancelled_popped`), and an earlier :meth:`stop` is ignored.
+        """
+        before = self.events_processed
+        self._stopped = False
+        self._loop(None, 1)
+        return self.events_processed != before
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> None:
         """Run until the queue drains, ``until`` (ns) is reached, or
-        ``max_events`` callbacks have executed.
+        ``max_events`` callbacks have executed (``max_events=0`` runs none).
 
         When ``until`` is given and no runnable event at or before it
         remains, the clock is advanced to exactly ``until`` so repeated
@@ -559,22 +353,26 @@ class Simulator:
         resumes without skipping them.  A :meth:`stop` likewise leaves
         ``now`` at the last processed event.
         """
+        if max_events is not None and max_events < 0:
+            raise SimulationError(f"negative event budget {max_events}")
         self._stopped = False
-        if self._q is None:
-            self._run_heap(until, max_events)
-        else:
-            self._run_bucket(until, max_events)
+        self._loop(until, max_events)
         if until is not None and self.now < until and not self._stopped:
             nxt = self.peek()
             if nxt is None or nxt > until:
                 self.now = until
 
-    def _run_heap(self, until: Optional[int], max_events: Optional[int]) -> None:
-        """Hot loop, heap backend.  Pops eagerly and pushes the one
-        over-deadline entry back — cheaper than peek-then-pop per event."""
+    def _loop(self, until: Optional[int], max_events: Optional[int]) -> None:
+        """The pop loop behind :meth:`run` and :meth:`step`.
+
+        Pops eagerly and pushes the one over-deadline entry back — cheaper
+        than peek-then-pop per event.  The budget is checked before each
+        pop, so a zero budget fires nothing; ``None`` counts down from -1
+        and never reaches zero.
+        """
         heap = self._heap
-        processed = 0
-        while heap and not self._stopped:
+        left = -1 if max_events is None else max_events
+        while heap and left and not self._stopped:
             entry = heappop(heap)
             ev = entry[2]
             if ev.__class__ is Event:
@@ -603,67 +401,25 @@ class Simulator:
                     ev.cat if ev.__class__ is Event else entry[3], fn, len(heap) + 1
                 )
             self.events_processed += 1
-            processed += 1
-            if max_events is not None and processed >= max_events:
-                break
-
-    def _run_bucket(self, until: Optional[int], max_events: Optional[int]) -> None:
-        """Hot loop, calendar-queue backend.  Identical pop order."""
-        q = self._q
-        processed = 0
-        while q._size and not self._stopped:
-            entry = q.pop()
-            ev = entry[2]
-            if ev.__class__ is Event:
-                if ev.cancelled:
-                    self.cancelled_popped += 1
-                    continue
-                if until is not None and entry[0] > until:
-                    q.push(entry)
-                    break
-                fn = ev.fn
-                ev.fn = None
-            else:
-                if until is not None and entry[0] > until:
-                    q.push(entry)
-                    break
-                fn = ev
-            self.now = entry[0]
-            if self.trace is not None:
-                self.trace(self.now, fn)
-            if self.profiler is None:
-                fn()
-            else:
-                self.profiler.run_event(
-                    ev.cat if ev.__class__ is Event else entry[3], fn, q._size + 1
-                )
-            self.events_processed += 1
-            processed += 1
-            if max_events is not None and processed >= max_events:
-                break
+            left -= 1
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def _entries(self) -> Iterator[tuple]:
-        """All queued entries, unordered (tests/debugging only)."""
-        return iter(self._heap) if self._q is None else iter(self._q)
-
     def live_events(self) -> Iterator[Event]:
         """Non-cancelled :class:`Event` handles still queued, unordered.
 
         Fire-and-forget entries (:meth:`post_at`) have no handle and are
         not included.  O(n); introspection/tests only.
         """
-        for entry in self._entries():
+        for entry in self._heap:
             ev = entry[2]
             if ev.__class__ is Event and not ev.cancelled:
                 yield ev
 
     def pending(self) -> int:
         """Number of non-cancelled events still queued (O(n); tests only)."""
-        return sum(1 for entry in self._entries() if _entry_live(entry))
+        return sum(1 for entry in self._heap if _entry_live(entry))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        n = len(self._heap) if self._q is None else len(self._q)
-        return f"<Simulator now={self.now} queue={self.queue_kind} pending={n}>"
+        return f"<Simulator now={self.now} pending={len(self._heap)}>"

@@ -10,7 +10,7 @@ from repro.hypervisor.dom0 import Dom0
 from repro.hypervisor.vm import VM
 from repro.hypervisor.vmm import VMM
 from repro.schedulers.credit import CreditParams, CreditScheduler
-from repro.sim.engine import EVENT_QUEUE_KINDS, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.units import MSEC
 
 
@@ -51,12 +51,12 @@ def _isolated_sweep_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "repro_cache"))
 
 
-@pytest.fixture(params=EVENT_QUEUE_KINDS)
+@pytest.fixture(params=["heap"])
 def sim(request):
-    """A bare simulator, parametrized over every event-queue backend so
-    the engine-semantics tests pin heap and calendar-bucket behaviour to
-    the same contract."""
-    return Simulator(queue=request.param)
+    """A bare simulator.  The engine has one event queue, a binary heap;
+    the single ``heap`` param only keeps the engine-semantics tests' ids
+    (``test_x[heap]``) stable."""
+    return Simulator()
 
 
 @pytest.fixture

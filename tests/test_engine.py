@@ -125,6 +125,19 @@ def test_step_single_event(sim):
     assert sim.step() is False
 
 
+def test_step_discards_cancelled_heads_and_ignores_stop(sim):
+    fired = []
+    sim.at(1, lambda: fired.append(1)).cancel()
+    sim.at(2, lambda: fired.append(2)).cancel()
+    sim.at(3, lambda: fired.append(3))
+    sim.stop()
+    assert sim.step() is True
+    assert fired == [3]
+    assert sim.now == 3
+    assert sim.cancelled_popped == 2
+    assert sim.step() is False
+
+
 def test_events_scheduled_during_run_fire(sim):
     order = []
 
@@ -183,13 +196,12 @@ def _popped(sim, events):
     return order
 
 
-@pytest.mark.parametrize("queue", ["heap", "bucket"])
 @pytest.mark.parametrize("tie_order", ["fifo", "reversed"])
-def test_event_ordering_operator_matches_pop_order(queue, tie_order):
+def test_event_ordering_operator_matches_pop_order(tie_order):
     """``<`` sorts events exactly as the queue pops them: under "reversed"
     a later same-time event sorts first, and a same-time ``vmm.period``
     event sorts before every default-phase one."""
-    sim = Simulator(queue=queue, tie_order=tie_order)
+    sim = Simulator(tie_order=tie_order)
     cats = [None, "vmm.period", "guest", "vmm.slice", "vmm.period", None]
     evs = [sim.at(t, lambda: None, cat) for t in (5, 3) for cat in cats]
     assert sorted(evs) == _popped(sim, evs)
@@ -267,6 +279,26 @@ def test_max_events_with_later_events_advances_to_until(sim):
     sim.at(100, lambda: None)
     sim.run(until=50, max_events=1)
     assert sim.now == 50  # only remaining event is beyond the deadline
+
+
+def test_zero_event_budget_fires_nothing(sim):
+    """Regression: the budget was checked only after a callback ran, so
+    ``run(max_events=0)`` fired the first event and moved the clock."""
+    fired = []
+    sim.at(5, lambda: fired.append(5))
+    sim.at(7, lambda: fired.append(7))
+    sim.run(max_events=0)
+    assert fired == []
+    assert sim.now == 0
+    assert sim.events_processed == 0
+    sim.run(until=6, max_events=0)
+    assert sim.now == 0  # the t=5 event is runnable by the deadline
+    sim.run(until=4, max_events=0)
+    assert sim.now == 4  # nothing runnable by the deadline -> lands on it
+    with pytest.raises(SimulationError):
+        sim.run(max_events=-1)
+    sim.run()
+    assert fired == [5, 7]
 
 
 def test_stop_leaves_clock_at_last_event(sim):

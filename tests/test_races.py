@@ -34,11 +34,10 @@ def _tracked(sim: Simulator) -> TieRaceTracker:
 # ----------------------------------------------------------------------
 # Engine: tie_order semantics
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("queue", ["heap", "bucket"])
-def test_tie_order_reversed_inverts_within_timestamp_only(queue):
+def test_tie_order_reversed_inverts_within_timestamp_only():
     order: dict[str, list[str]] = {}
     for tie_order in ("fifo", "reversed"):
-        sim = Simulator(queue=queue, tie_order=tie_order)
+        sim = Simulator(tie_order=tie_order)
         seen: list[str] = []
         for label in ("a", "b", "c"):
             sim.at(100, lambda label=label: seen.append(label), cat="test")
@@ -59,12 +58,11 @@ def test_tie_order_validation_and_default():
 
 
 @pytest.mark.parametrize("tie_order", ["fifo", "reversed"])
-@pytest.mark.parametrize("queue", ["heap", "bucket"])
-def test_accounting_phase_runs_first_at_a_timestamp(queue, tie_order):
+def test_accounting_phase_runs_first_at_a_timestamp(tie_order):
     """ACCOUNTING_CATS callbacks run before default-phase events at the
     same instant, regardless of insertion order and tie direction."""
     assert "vmm.period" in ACCOUNTING_CATS
-    sim = Simulator(queue=queue, tie_order=tie_order)
+    sim = Simulator(tie_order=tie_order)
     seen: list[str] = []
     # same-instant appends on purpose: the accounting phase *is* the
     # explicit ordering RPR040/041 asks for
