@@ -124,6 +124,10 @@ def code_salt() -> str:
     return _code_salt_memo
 
 
+#: The :class:`RunSpec` fields that are run modes, in serialisation order.
+_MODE_FIELDS = ("sanitize", "trace", "profile", "max_sim_events", "max_sim_ns", "tie_order")
+
+
 @dataclass(frozen=True)
 class RunSpec:
     """One independent simulation cell.
@@ -133,34 +137,36 @@ class RunSpec:
     key).  ``label`` is only for progress display and defaults to a
     compact rendering of the params.
 
+    The remaining fields are run modes.  Each enters :meth:`key` and
+    :meth:`to_dict` only when set (see :meth:`modes`), so adding a mode
+    field leaves the cached digests of cells that do not set it valid.
+
     ``sanitize`` runs the cell under the runtime invariant sanitizer
     (:mod:`repro.analysis.sanitizer`).  The sanitizer's hooks are
-    read-only, so results are bit-identical either way; the flag is
-    folded into the cache key only when set, keeping existing cached
-    digests valid.
+    read-only, so results are bit-identical either way.
 
     ``trace`` and ``profile`` attach the observability layers
     (:mod:`repro.obs`): tracing adds a ``"trace"`` key (ring-buffer
     summary + records) and profiling a ``"profile"`` key (wall-clock
-    self-profile) to the cell's value.  Like ``sanitize``, both are
-    read-only observation and fold into the cache key only when set —
-    but a profiled value embeds host wall-clock numbers, so profiled
-    cells are cached separately and their ``"profile"`` content is
-    machine-dependent.
+    self-profile) to the cell's value.  Both are read-only observation,
+    but a profiled value embeds host wall-clock numbers, so its
+    ``"profile"`` content is machine-dependent.
 
     ``max_sim_events`` / ``max_sim_ns`` arm a *simulated-time* watchdog
     (:func:`repro.sim.engine.install_watchdog`) on every simulator the
     cell creates: a runaway cell fails deterministically with
     :class:`~repro.sim.engine.WatchdogExceeded` instead of spinning until
-    the host-side timeout kills it.  Folded into the cache key only when
-    set.
+    the host-side timeout kills it.
 
     ``tie_order`` selects the simulator's ordering among same-timestamp
     events (``"fifo"``/``"reversed"``, see
     :data:`repro.sim.engine.TIE_ORDERS`).  The race-detector differential
     (:mod:`repro.analysis.races`) runs each cell once per tie order and
-    diffs the results.  Folded into the cache key only when set, so
-    existing cached digests of plain (fifo) cells stay valid.
+    diffs the results.
+
+    Modes named in :data:`repro.experiments.scenarios.RUN_OPTIONS` are
+    passed to the scenario as keywords; the watchdog budgets are applied
+    by the runner itself.
     """
 
     scenario: str
@@ -184,23 +190,19 @@ class RunSpec:
             short = ",".join(f"{k}={v}" for k, v in self.params.items())
             object.__setattr__(self, "label", f"{self.scenario}({short})")
 
+    def modes(self) -> dict:
+        """The run-mode fields that are set (booleans True, the rest not
+        None), in :data:`_MODE_FIELDS` order."""
+        modes = {}
+        for name in _MODE_FIELDS:
+            value = getattr(self, name)
+            if value is not None and value is not False:
+                modes[name] = value
+        return modes
+
     def key(self) -> str:
-        """Canonical JSON identity of the cell (scenario + params)."""
-        payload = {"scenario": self.scenario, "params": self.params}
-        if self.sanitize:
-            # Only present when set, so pre-existing cache digests of
-            # unsanitized cells stay valid.
-            payload["sanitize"] = True
-        if self.trace:
-            payload["trace"] = True
-        if self.profile:
-            payload["profile"] = True
-        if self.max_sim_events is not None:
-            payload["max_sim_events"] = self.max_sim_events
-        if self.max_sim_ns is not None:
-            payload["max_sim_ns"] = self.max_sim_ns
-        if self.tie_order is not None:
-            payload["tie_order"] = self.tie_order
+        """Canonical JSON identity of the cell (scenario + params + modes)."""
+        payload = {"scenario": self.scenario, "params": self.params, **self.modes()}
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     def digest(self, salt: Optional[str] = None) -> str:
@@ -210,20 +212,12 @@ class RunSpec:
         return hashlib.sha256(payload.encode()).hexdigest()
 
     def to_dict(self) -> dict:
-        d = {"scenario": self.scenario, "params": dict(self.params), "label": self.label}
-        if self.sanitize:
-            d["sanitize"] = True
-        if self.trace:
-            d["trace"] = True
-        if self.profile:
-            d["profile"] = True
-        if self.max_sim_events is not None:
-            d["max_sim_events"] = self.max_sim_events
-        if self.max_sim_ns is not None:
-            d["max_sim_ns"] = self.max_sim_ns
-        if self.tie_order is not None:
-            d["tie_order"] = self.tie_order
-        return d
+        return {
+            "scenario": self.scenario,
+            "params": dict(self.params),
+            "label": self.label,
+            **self.modes(),
+        }
 
 
 @dataclass
@@ -265,14 +259,7 @@ def _execute_cell(spec: RunSpec, retries: int = 1) -> dict:
     """Run one cell with retry; always returns a plain (picklable) dict."""
     fn = SCENARIOS[spec.scenario]
     kwargs = dict(spec.params)
-    if spec.sanitize:
-        kwargs["sanitize"] = True
-    if spec.trace:
-        kwargs["trace"] = True
-    if spec.profile:
-        kwargs["profile"] = True
-    if spec.tie_order is not None:
-        kwargs["tie_order"] = spec.tie_order
+    kwargs.update((k, v) for k, v in spec.modes().items() if k in scenarios.RUN_OPTIONS)
     attempts = 0
     last_exc: Optional[BaseException] = None
     # Host wall-clock (never feeds simulation state, so exempt from the

@@ -36,6 +36,15 @@ Setups reproduced:
   policy admits/queues/rejects them, and completed tenants are torn
   down with their resources reclaimed.  Compares admission policies at
   equal offered load.
+
+Run modes: every builder that constructs a world takes ``**run`` and hands
+it to each ``_world`` call it makes.  Its keys must be in
+:data:`RUN_OPTIONS`: the :class:`~repro.experiments.harness.WorldConfig`
+fields that say how a run is checked, observed or perturbed rather than
+which experiment it is.  Any other key raises :class:`TypeError`.  A fault
+plan travels as a :meth:`~repro.faults.plan.FaultPlan.to_dicts` list.  The
+outputs of the enabled layers are folded into the result by
+``_attach_obs`` (per row for the slice sweep).
 """
 
 from __future__ import annotations
@@ -72,7 +81,11 @@ __all__ = [
     "run_dfrs_compare",
     "run_attack",
     "full_scale",
+    "RUN_OPTIONS",
 ]
+
+#: ``WorldConfig`` fields every world-building scenario accepts as ``**run``.
+RUN_OPTIONS = frozenset({"sanitize", "trace", "trace_capacity", "profile", "faults", "tie_order"})
 
 
 def full_scale() -> bool:
@@ -89,40 +102,36 @@ def _world(
     sched_params: Optional[SchedulerParams] = None,
     vcpus_per_vm: int = 8,
     vms_per_node: int = 4,
-    sanitize: bool = False,
-    trace: bool = False,
-    trace_capacity: int = 65536,
-    profile: bool = False,
-    faults: Optional[Sequence[dict]] = None,
     placement: str = "spread",
     migration: Optional[dict] = None,
     service: Optional[dict] = None,
     dfrs: Optional[dict] = None,
-    tie_order: Optional[str] = None,
+    **run,
 ) -> CloudWorld:
+    unknown = run.keys() - RUN_OPTIONS
+    if unknown:
+        raise TypeError(
+            f"unknown run option(s) {sorted(unknown)}; expected any of {sorted(RUN_OPTIONS)}"
+        )
     # Fault plans, migration/service/DFRS configs travel through scenario
     # params as JSON dicts so they are picklable and fold into the sweep
     # cache key automatically.
-    plan = FaultPlan.from_dicts(faults) if faults else None
+    faults = run.pop("faults", None)
     return CloudWorld(
         WorldConfig(
             n_nodes=n_nodes,
-            tie_order=tie_order,
             vms_per_node=vms_per_node,
             vcpus_per_vm=vcpus_per_vm,
             scheduler=scheduler,
             sched_params=sched_params,
             uniform_slice_ns=uniform_slice_ns,
             seed=seed,
-            sanitize=sanitize,
-            trace=trace,
-            trace_capacity=trace_capacity,
-            profile=profile,
-            faults=plan,
+            faults=FaultPlan.from_dicts(faults) if faults else None,
             placement=placement,
             migration=MigrationConfig.from_dict(migration) if migration else None,
             service=ServiceConfig.from_dict(service) if service else None,
             dfrs=DFRSConfig.from_dict(dfrs) if dfrs is not None else None,
+            **run,
         )
     )
 
@@ -163,28 +172,19 @@ def run_type_a(
     vcpus_per_vm: int = 8,
     horizon_s: float = 300.0,
     sched_params: Optional[SchedulerParams] = None,
-    sanitize: bool = False,
     uniform_slice_ms: Optional[float] = None,
-    trace: bool = False,
-    trace_capacity: int = 65536,
-    profile: bool = False,
-    faults: Optional[Sequence[dict]] = None,
-    tie_order: Optional[str] = None,
+    **run,
 ) -> dict:
     """Evaluation type A (Figs. 1, 10): four identical virtual clusters,
     one VM per node each, all running ``app_name``.
 
     ``uniform_slice_ms`` forces a static guest slice (CR sweeps and the
-    ``repro trace`` CLI); ``trace``/``profile`` attach the observability
-    layers and fold their outputs into the result; ``faults`` is a fault
-    plan as dict list (:meth:`repro.faults.plan.FaultPlan.to_dicts`).
+    ``repro trace`` CLI).
     """
     world = _world(
-        n_nodes, scheduler, seed, sched_params=sched_params,
-        vcpus_per_vm=vcpus_per_vm, sanitize=sanitize,
+        n_nodes, scheduler, seed, sched_params=sched_params, vcpus_per_vm=vcpus_per_vm,
         uniform_slice_ns=None if uniform_slice_ms is None else ns_from_ms(uniform_slice_ms),
-        trace=trace, trace_capacity=trace_capacity, profile=profile, faults=faults,
-        tie_order=tie_order,
+        **run,
     )
     apps = []
     for k in range(n_vclusters):
@@ -218,9 +218,7 @@ def run_table1_cell(
     horizon_s: float = 2.0,
     n_nodes: int = 32,
     sched_params: Optional[SchedulerParams] = None,
-    sanitize: bool = False,
-    profile: bool = False,
-    tie_order: Optional[str] = None,
+    **run,
 ) -> dict:
     """One full-scale Table-I trace cell: the paper's exact 32-node /
     256-core evaluation-type-B platform (Section IV-B2).
@@ -238,8 +236,7 @@ def run_table1_cell(
     mix = paper_vc_mix()
     world = _world(
         n_nodes, scheduler, seed, sched_params=sched_params,
-        vcpus_per_vm=mix.vcpus_per_vm, vms_per_node=4, sanitize=sanitize,
-        profile=profile, tie_order=tie_order,
+        vcpus_per_vm=mix.vcpus_per_vm, vms_per_node=4, **run,
     )
     rng = world.rng.substream(999)
     vc_apps = []
@@ -284,24 +281,22 @@ def run_slice_sweep(
     seed: int = 0,
     vcpus_per_vm: int = 8,
     horizon_s: float = 300.0,
-    sanitize: bool = False,
-    faults: Optional[Sequence[dict]] = None,
-    tie_order: Optional[str] = None,
+    **run,
 ) -> dict:
     """Static slice sweep under CR (Figs. 5 and 8).
 
     Paper setup: two nodes, four VMs per node forming four identical
     two-VM virtual clusters.  Returns per-slice execution time, average
-    spinlock latency, LLC misses and context switches.  A ``faults`` plan
-    applies identically to every slice's world.
+    spinlock latency, LLC misses and context switches.  The run modes
+    apply identically to every slice's world, and each row carries its
+    own world's observability outputs.
     """
     rows = []
     total_events = 0
     for sm in slice_ms_values:
         world = _world(
             n_nodes, "CR", seed, uniform_slice_ns=ns_from_ms(sm),
-            vcpus_per_vm=vcpus_per_vm, sanitize=sanitize, faults=faults,
-            tie_order=tie_order,
+            vcpus_per_vm=vcpus_per_vm, **run,
         )
         apps = []
         for k in range(n_vclusters):
@@ -315,7 +310,7 @@ def run_slice_sweep(
         times = [t for a in apps for t in a.round_times]
         stats = cluster_stats(world.cluster)
         busy = max(1, stats["busy_ns"])
-        rows.append(
+        rows.append(_attach_obs(
             {
                 "slice_ms": sm,
                 "mean_round_ns": mean(times),
@@ -324,8 +319,9 @@ def run_slice_sweep(
                 "miss_rate_per_ms": stats["llc_misses"] / (busy / MSEC),
                 "context_switches": stats["context_switches"],
                 "all_done": world.all_apps_done,
-            }
-        )
+            },
+            world,
+        ))
         total_events += world.sim.events_processed
     return {"app": app_name, "npb_class": npb_class, "rows": rows, "events": total_events}
 
@@ -338,12 +334,7 @@ def run_small_mix(
     parallel_app: str = "lu",
     atc_np_slice_ms: Optional[float] = None,
     sched_params: Optional[SchedulerParams] = None,
-    sanitize: bool = False,
-    trace: bool = False,
-    trace_capacity: int = 65536,
-    profile: bool = False,
-    faults: Optional[Sequence[dict]] = None,
-    tie_order: Optional[str] = None,
+    **run,
 ) -> dict:
     """Section II-A2 platform (Figs. 2 and 9): two nodes, four VMs each;
     three two-VM virtual clusters run ``parallel_app`` in the background,
@@ -359,12 +350,7 @@ def run_small_mix(
         seed,
         uniform_slice_ns=None if uniform_slice_ms is None else ns_from_ms(uniform_slice_ms),
         sched_params=sched_params,
-        sanitize=sanitize,
-        trace=trace,
-        trace_capacity=trace_capacity,
-        profile=profile,
-        faults=faults,
-        tie_order=tie_order,
+        **run,
     )
     bg_apps = []
     for k in range(3):
@@ -416,20 +402,13 @@ def run_type_b(
     seed: int = 0,
     horizon_s: float = 6.0,
     sched_params: Optional[SchedulerParams] = None,
-    sanitize: bool = False,
-    trace: bool = False,
-    trace_capacity: int = 65536,
-    profile: bool = False,
-    faults: Optional[Sequence[dict]] = None,
-    tie_order: Optional[str] = None,
+    **run,
 ) -> dict:
     """Evaluation type B (Fig. 11): LLNL-trace virtual-cluster mix, every
     cluster running a random NPB kernel repeatedly;
     independent VMs run lu.B or is.B.  Per-VC mean round times returned."""
     world = _world(
-        n_nodes, scheduler, seed, sched_params=sched_params, sanitize=sanitize,
-        trace=trace, trace_capacity=trace_capacity, profile=profile, faults=faults,
-        tie_order=tie_order,
+        n_nodes, scheduler, seed, sched_params=sched_params, **run,
     )
     rng = world.rng.substream(999)
     mix = _scaled_vc_mix(world, rng)
@@ -473,20 +452,13 @@ def run_type_b_mixed(
     horizon_s: float = 6.0,
     atc_np_slice_ms: Optional[float] = None,
     sched_params: Optional[SchedulerParams] = None,
-    sanitize: bool = False,
-    trace: bool = False,
-    trace_capacity: int = 65536,
-    profile: bool = False,
-    faults: Optional[Sequence[dict]] = None,
-    tie_order: Optional[str] = None,
+    **run,
 ) -> dict:
     """Section IV-C (Figs. 12-14): type B clusters plus independent VMs
     running lu/is and the non-parallel suite.  One extra node hosts the
     httperf client (the paper drives web load from separate machines)."""
     world = _world(
-        n_nodes + 1, scheduler, seed, sched_params=sched_params, sanitize=sanitize,
-        trace=trace, trace_capacity=trace_capacity, profile=profile, faults=faults,
-        tie_order=tie_order,
+        n_nodes + 1, scheduler, seed, sched_params=sched_params, **run,
     )
     # keep the client node (last index) out of general placement
     world._node_vm_load[n_nodes] = world.config.vms_per_node - 1
@@ -566,12 +538,7 @@ def run_packet_path_probe(
     horizon_s: float = 30.0,
     background_app: str = "lu",
     sched_params: Optional[SchedulerParams] = None,
-    sanitize: bool = False,
-    trace: bool = False,
-    trace_capacity: int = 65536,
-    profile: bool = False,
-    faults: Optional[Sequence[dict]] = None,
-    tie_order: Optional[str] = None,
+    **run,
 ) -> dict:
     """Fig. 4: measure the four scheduling-wait overhead sources on the
     cross-VM packet path while parallel load keeps the hosts busy.
@@ -585,12 +552,7 @@ def run_packet_path_probe(
         2, scheduler, seed,
         uniform_slice_ns=None if uniform_slice_ms is None else ns_from_ms(uniform_slice_ms),
         sched_params=sched_params,
-        sanitize=sanitize,
-        trace=trace,
-        trace_capacity=trace_capacity,
-        profile=profile,
-        faults=faults,
-        tie_order=tie_order,
+        **run,
     )
     for k in range(3):
         vc = world.virtual_cluster(n_vms=2, name=f"vc{k}")
@@ -648,12 +610,7 @@ def run_migration_rebalance(
     horizon_s: float = 10.0,
     migration: Optional[dict] = None,
     sched_params: Optional[SchedulerParams] = None,
-    sanitize: bool = False,
-    trace: bool = False,
-    trace_capacity: int = 65536,
-    profile: bool = False,
-    faults: Optional[Sequence[dict]] = None,
-    tie_order: Optional[str] = None,
+    **run,
 ) -> dict:
     """Mixed-tenancy world under a live-migration rebalancing policy.
 
@@ -673,10 +630,9 @@ def run_migration_rebalance(
     """
     world = _world(
         n_nodes, scheduler, seed, sched_params=sched_params,
-        vcpus_per_vm=vcpus_per_vm, vms_per_node=vms_per_node,
-        sanitize=sanitize, trace=trace, trace_capacity=trace_capacity,
-        profile=profile, faults=faults, placement=placement, tie_order=tie_order,
+        vcpus_per_vm=vcpus_per_vm, vms_per_node=vms_per_node, placement=placement,
         migration=None if policy == "static" else {"policy": policy, **(migration or {})},
+        **run,
     )
     apps = []
     for k in range(n_clusters):
@@ -714,12 +670,7 @@ def run_dfrs_compare(
     horizon_s: float = 10.0,
     dfrs: Optional[dict] = None,
     sched_params: Optional[SchedulerParams] = None,
-    sanitize: bool = False,
-    trace: bool = False,
-    trace_capacity: int = 65536,
-    profile: bool = False,
-    faults: Optional[Sequence[dict]] = None,
-    tie_order: Optional[str] = None,
+    **run,
 ) -> dict:
     """DFRS comparator cell: one mixed-tenancy packed world (the
     ``run_migration_rebalance`` shape) run under one point of the
@@ -759,9 +710,7 @@ def run_dfrs_compare(
     world = _world(
         n_nodes, scheduler, seed, sched_params=sched_params,
         vcpus_per_vm=vcpus_per_vm, vms_per_node=vms_per_node,
-        sanitize=sanitize, trace=trace, trace_capacity=trace_capacity,
-        profile=profile, faults=faults, placement=placement,
-        tie_order=tie_order, dfrs=dfrs_cfg,
+        placement=placement, dfrs=dfrs_cfg, **run,
     )
     apps = []
     for k in range(n_clusters):
@@ -807,12 +756,7 @@ def run_service(
     horizon_s: float = 30.0,
     migration: Optional[dict] = None,
     sched_params: Optional[SchedulerParams] = None,
-    sanitize: bool = False,
-    trace: bool = False,
-    trace_capacity: int = 65536,
-    profile: bool = False,
-    faults: Optional[Sequence[dict]] = None,
-    tie_order: Optional[str] = None,
+    **run,
 ) -> dict:
     """Always-on cloud service: streaming tenant arrivals under an
     online admission policy (:mod:`repro.service`).
@@ -844,9 +788,7 @@ def run_service(
     world = _world(
         n_nodes, scheduler, seed, sched_params=sched_params,
         vcpus_per_vm=vcpus_per_vm, vms_per_node=vms_per_node,
-        sanitize=sanitize, trace=trace, trace_capacity=trace_capacity,
-        profile=profile, faults=faults, placement=placement,
-        migration=migration, service=service, tie_order=tie_order,
+        placement=placement, migration=migration, service=service, **run,
     )
     world.run(horizon_ns=round(horizon_s * SEC))
     return _attach_obs({
@@ -874,12 +816,7 @@ def run_attack(
     boost_rate_limit: int = 2,
     slice_floor_ms: float = 6.0,
     sched_params: Optional[SchedulerParams] = None,
-    sanitize: bool = False,
-    trace: bool = False,
-    trace_capacity: int = 65536,
-    profile: bool = False,
-    faults: Optional[Sequence[dict]] = None,
-    tie_order: Optional[str] = None,
+    **run,
 ) -> dict:
     """Adversarial-tenancy cell (DESIGN.md §15): one over-committed node
     hosting a parallel victim cluster, a non-parallel victim, and two
@@ -935,9 +872,7 @@ def run_attack(
             sched_params = CreditParams(**knobs)
     world = _world(
         n_nodes, scheduler, seed, sched_params=sched_params,
-        vcpus_per_vm=vcpus_per_vm, vms_per_node=4, sanitize=sanitize,
-        trace=trace, trace_capacity=trace_capacity, profile=profile,
-        faults=faults, tie_order=tie_order,
+        vcpus_per_vm=vcpus_per_vm, vms_per_node=4, **run,
     )
     vc = world.virtual_cluster(n_vms=n_nodes, name="victim")
     victim = world.add_npb(victim_app, vc.vms, rounds=None, warmup_rounds=1,

@@ -7,7 +7,12 @@ import json
 
 from repro.cli import main
 from repro.experiments.runner import RunSpec, _execute_cell
-from repro.experiments.scenarios import run_packet_path_probe, run_type_a
+from repro.experiments.scenarios import (
+    run_packet_path_probe,
+    run_slice_sweep,
+    run_table1_cell,
+    run_type_a,
+)
 from repro.obs.trace import TraceLog
 from repro.sim.engine import Simulator
 
@@ -100,6 +105,38 @@ def test_execute_cell_attaches_trace():
     result = _execute_cell(spec)
     assert result["ok"]
     assert result["value"]["trace"]["total"] > 0
+
+
+#: A two-slice ep.A sweep: a few thousand events.
+TINY_SWEEP = {"app_name": "ep", "slice_ms_values": [30, 1], "npb_class": "A",
+              "rounds": 1, "warmup_rounds": 0, "horizon_s": 20.0}
+
+
+def test_execute_cell_traces_every_slice_sweep_row():
+    result = _execute_cell(RunSpec("slice_sweep", TINY_SWEEP, trace=True))
+    assert result["ok"], result["error"]
+    rows = result["value"]["rows"]
+    assert len(rows) == 2
+    for row in rows:
+        assert row.pop("trace")["total"] > 0
+    assert rows == run_slice_sweep(**TINY_SWEEP)["rows"]
+
+
+def test_execute_cell_profiles_every_slice_sweep_row():
+    result = _execute_cell(RunSpec("slice_sweep", TINY_SWEEP, profile=True))
+    assert result["ok"], result["error"]
+    rows = result["value"]["rows"]
+    assert len(rows) == 2
+    assert all(row["profile"]["events"] > 0 for row in rows)
+
+
+def test_traced_table1_cell_returns_trace():
+    traced = run_table1_cell(horizon_s=0.02, trace=True)
+    assert traced.pop("trace")["total"] > 0
+    # No VC finishes a round this early (mean_round_ns is NaN), so compare
+    # the engine's view of the run.
+    plain = run_table1_cell(horizon_s=0.02)
+    assert (traced["events"], traced["sim_time_ns"]) == (plain["events"], plain["sim_time_ns"])
 
 
 # ----------------------------------------------------------------------

@@ -38,6 +38,38 @@ def test_spec_digest_changes_with_params_and_salt():
     assert a.digest() == RunSpec("type_a", {"seed": 0, "app_name": "is"}).digest()
 
 
+def test_spec_key_and_dict_bytes_are_stable():
+    # The cache digest hashes key(); exports and cache entries store
+    # to_dict().  Pin both byte for byte: a mode enters only when set, and
+    # a zero watchdog budget is set.
+    params = {"app_name": "is", "n_nodes": 2, "scheduler": "CR"}
+    label = '"label": "type_a(app_name=is,n_nodes=2,scheduler=CR)"'
+    head = '{"scenario": "type_a", "params": {"app_name": "is", "n_nodes": 2, "scheduler": "CR"}, '
+    plain = RunSpec("type_a", params)
+    assert plain.key() == (
+        '{"params":{"app_name":"is","n_nodes":2,"scheduler":"CR"},"scenario":"type_a"}'
+    )
+    assert json.dumps(plain.to_dict()) == head + label + "}"
+    every = RunSpec("type_a", params, sanitize=True, trace=True, profile=True,
+                    max_sim_events=5, max_sim_ns=7, tie_order="reversed")
+    assert every.key() == (
+        '{"max_sim_events":5,"max_sim_ns":7,'
+        '"params":{"app_name":"is","n_nodes":2,"scheduler":"CR"},'
+        '"profile":true,"sanitize":true,"scenario":"type_a",'
+        '"tie_order":"reversed","trace":true}'
+    )
+    assert json.dumps(every.to_dict()) == head + label + (
+        ', "sanitize": true, "trace": true, "profile": true,'
+        ' "max_sim_events": 5, "max_sim_ns": 7, "tie_order": "reversed"}'
+    )
+    zero = RunSpec("type_a", params, max_sim_events=0, max_sim_ns=0)
+    assert zero.key() == (
+        '{"max_sim_events":0,"max_sim_ns":0,'
+        '"params":{"app_name":"is","n_nodes":2,"scheduler":"CR"},"scenario":"type_a"}'
+    )
+    assert json.dumps(zero.to_dict()) == head + label + ', "max_sim_events": 0, "max_sim_ns": 0}'
+
+
 def test_default_label_is_informative():
     spec = RunSpec("type_a", {"app_name": "is"})
     assert "type_a" in spec.label and "app_name=is" in spec.label

@@ -6,6 +6,8 @@ import pytest
 
 from repro.experiments.reporting import format_normalized, format_table
 from repro.experiments.scenarios import (
+    RUN_OPTIONS,
+    _world,
     run_packet_path_probe,
     run_slice_sweep,
     run_small_mix,
@@ -23,6 +25,17 @@ def test_type_a_returns_complete_result():
     assert r["mean_round_ns"] > 0
     assert r["rounds_measured"] == 4  # 4 virtual clusters x 1 round
     assert r["cluster"]["busy_ns"] > 0
+
+
+def test_world_rejects_keys_outside_run_options():
+    assert "period_ns" not in RUN_OPTIONS
+    with pytest.raises(TypeError, match="period_ns"):
+        _world(1, "CR", 0, period_ns=5)
+
+
+def test_scenario_rejects_keys_outside_run_options():
+    with pytest.raises(TypeError, match="period_ns"):
+        run_type_a("is", "CR", n_nodes=2, period_ns=5)
 
 
 def test_slice_sweep_rows():
