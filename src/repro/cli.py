@@ -20,7 +20,8 @@ Examples::
     python -m repro races type_a --app lu --scheduler CR --nodes 2
 
 Sweep-shaped commands (``sweep``, ``compare``, ``typea``, ``typeb``,
-``mix``) execute through :mod:`repro.experiments.runner`: ``--jobs N``
+``mix``, ``chaos``, ``migrate``, ``dfrs``, ``serve``, ``attack``)
+execute through :mod:`repro.experiments.runner`: ``--jobs N``
 fans the independent cells over N worker processes (bit-identical to
 serial), results are cached under ``.repro_cache/`` (``--no-cache`` to
 bypass), ``--json PATH`` exports the full result set, and ``--sanitize``

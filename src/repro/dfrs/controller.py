@@ -1,16 +1,12 @@
 """Cluster-scope DFRS controller.
 
-Rides the leader-elected rebalancer pattern
-(:class:`repro.migration.rebalancer.Rebalancer`): its hook is appended to
-*every* node's ``period_hooks``, all period ticks fire at the same
-timestamps, and the first live node's hook leads each round (the rest
-see the timestamp already claimed and return), so leadership fails over
-past crashed nodes with no election traffic.  An idle controller
-(``solve_every=0``) adds **zero** simulator events and zero RNG draws —
-a world with a disabled DFRS layer is bit-identical, event count
-included, to a world without the subsystem.
+Runs on the world's :class:`~repro.experiments.harness.ControlPlane`.
+An idle controller (``solve_every=0``) registers nothing, so it adds
+**zero** simulator events and zero RNG draws — a world with a disabled
+DFRS layer is bit-identical, event count included, to a world without
+the subsystem.
 
-Every ``solve_every``-th period the leader:
+Every ``solve_every``-th period round it:
 
 1. estimates each guest VM's *need* from the monitor signals already
    collected for ATC — the ``cpu_consumed_ns`` ledger plus the spin /
@@ -51,7 +47,7 @@ class DFRSConfig:
     """Control-plane configuration (``WorldConfig.dfrs``)."""
 
     #: Re-solve every N VMM periods; ``0`` never solves (the idle layer —
-    #: bit-identity control).
+    #: bit-identity control); negative values are rejected.
     solve_every: int = 4
     #: Cap looseness: published cap = allocation * headroom (clipped to
     #: the VM's ceiling).  1.0 publishes the exact solve; larger values
@@ -88,8 +84,6 @@ class DFRSController:
         self.world = world
         self.sim = world.sim
         self.cfg = config
-        self._tick_seen_ns = -1
-        self._ticks = 0
         #: Cumulative-signal snapshots per vmid from the previous solve:
         #: ``(cpu_consumed_ns, spin_total_ns, queue_wait_ns)``.  Deltas
         #: against these estimate the need over the last interval; a
@@ -109,8 +103,8 @@ class DFRSController:
         #: SAN009 violations found when no sanitizer is attached
         #: (strings; tests assert empty) — the MigrationEngine pattern.
         self.violations: list[str] = []
-        for vmm in world.vmms:
-            vmm.period_hooks.append(self._on_period)
+        if config.solve_every != 0:
+            world.control_plane.register(self._control, every=config.solve_every)
 
     # ------------------------------------------------------------------
     @property
@@ -126,18 +120,6 @@ class DFRSController:
             "last_mean_yield": self.last_mean_yield,
             "violations": len(self.violations),
         }
-
-    # ------------------------------------------------------------------
-    def _on_period(self, now: int) -> None:
-        if self.cfg.solve_every <= 0:
-            return  # idle layer: no state, no events, no RNG
-        if now == self._tick_seen_ns:
-            return  # a lower-indexed live node already led this round
-        self._tick_seen_ns = now
-        self._ticks += 1
-        if self._ticks % self.cfg.solve_every:
-            return
-        self._control(now)
 
     # ------------------------------------------------------------------
     # Need estimation

@@ -17,7 +17,7 @@ Typical use (see ``examples/quickstart.py``)::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.analysis.sanitizer import SimSanitizer
 from repro.cluster.network import NetworkParams
@@ -54,7 +54,43 @@ from repro.workloads.nonparallel import (
 )
 from repro.workloads.npb import npb_spec
 
-__all__ = ["WorldConfig", "CloudWorld"]
+__all__ = ["WorldConfig", "CloudWorld", "ControlPlane"]
+
+
+class ControlPlane:
+    """Leader-elected period fan-out for the cluster-scope controllers.
+
+    The first :meth:`register` appends one hook to every VMM's
+    ``period_hooks``; crashed nodes skip their hooks, so the first live
+    node's call at each instant leads (later calls see it claimed).  The
+    leader counts one round and calls each registered ``fn(now)`` whose
+    ``every`` divides the round number, in registration order.
+    """
+
+    def __init__(self, vmms: Sequence[VMM]) -> None:
+        self.vmms = vmms
+        self.rounds = 0
+        self._controllers: list[tuple[Callable[[int], None], int]] = []
+        self._seen_ns = -1
+
+    def register(self, fn: Callable[[int], None], every: int = 1) -> None:
+        """Run ``fn(now)`` on every ``every``-th period round."""
+        if every < 1:
+            name = getattr(fn, "__qualname__", repr(fn))
+            raise ValueError(f"{name}: cadence every={every!r} must be >= 1 period")
+        if not self._controllers:
+            for vmm in self.vmms:
+                vmm.period_hooks.append(self._on_period)
+        self._controllers.append((fn, every))
+
+    def _on_period(self, now: int) -> None:
+        if now == self._seen_ns:
+            return  # a lower-indexed live node already led this round
+        self._seen_ns = now
+        self.rounds += 1
+        for fn, every in self._controllers:
+            if self.rounds % every == 0:
+                fn(now)
 
 
 @dataclass(frozen=True)
@@ -165,6 +201,7 @@ class CloudWorld:
         self._rng_key = 0
         self.vms: list[VM] = []
         self.virtual_clusters: list[VirtualCluster] = []
+        self.control_plane = ControlPlane(self.vmms)
         self.migration_engine: Optional[MigrationEngine] = None
         self.rebalancer: Optional[Rebalancer] = None
         if cfg.migration is not None:

@@ -27,8 +27,8 @@ Registry:
 * ``migration-aware``  — prefer placements that will not later need
   demixing: every VM goes to a node hosting no *other* parallel
   cluster.  When no such placement exists the policy reports admission
-  pressure by kicking the PR-5 rebalancer (an off-cycle demix round can
-  make room) and queues the tenant.
+  pressure by kicking the migration rebalancer (an off-cycle demix
+  round can make room) and queues the tenant.
 """
 
 from __future__ import annotations
