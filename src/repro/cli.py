@@ -1,346 +1,114 @@
 """Command-line interface: run any of the paper's experiments directly.
 
-Examples::
-
-    python -m repro list
-    python -m repro typea --app lu --scheduler ATC --nodes 2
-    python -m repro compare --app lu --nodes 2 --jobs 5
-    python -m repro sweep --app lu --slices 30,6,1,0.3 --jobs 4
-    python -m repro mix --scheduler ATC --np-slice 6
-    python -m repro typeb --scheduler ATC --nodes 6
-    python -m repro probe --scheduler CR
-    python -m repro chaos --app is --nodes 2 --faults random:3:1
-    python -m repro migrate --policy demix --placement pack
-    python -m repro dfrs --nodes 3 --horizon 10
-    python -m repro serve --admission migration-aware --rate 3 --tenants 8
-    python -m repro trace --app is --slice 30
-    python -m repro perf
-    python -m repro lint src/repro benchmarks tests examples
-    python -m repro races
-    python -m repro races type_a --app lu --scheduler CR --nodes 2
-
-Sweep-shaped commands (``sweep``, ``compare``, ``typea``, ``typeb``,
-``mix``, ``chaos``, ``migrate``, ``dfrs``, ``serve``, ``attack``)
-execute through :mod:`repro.experiments.runner`: ``--jobs N``
-fans the independent cells over N worker processes (bit-identical to
-serial), results are cached under ``.repro_cache/`` (``--no-cache`` to
-bypass), ``--json PATH`` exports the full result set, and ``--sanitize``
-runs every cell under the runtime invariant sanitizer
-(:mod:`repro.analysis.sanitizer` — read-only hooks, bit-identical
-results, violations reported as structured cell failures).
-``--cell-timeout S`` bounds each cell's host wall clock (hung workers
-are killed, the sweep continues) and ``--salvage PATH`` writes the
-structured partial-result report (:func:`repro.experiments.runner.salvage_report`).
-
-``chaos`` runs a baseline cell and a fault-injected cell
-(:mod:`repro.faults`) of the same world side by side; ``--faults``
-accepts ``random:N[:SEED]``, an inline JSON plan, or a plan file.
-``typea`` and ``sweep`` take the same ``--faults`` spec.
-
-``migrate`` runs the mixed-tenancy rebalancing scenario
-(:mod:`repro.migration`): a static-placement baseline cell next to a
-cell where the chosen policy (``demix`` / ``consolidate`` /
-``evacuate``) live-migrates VMs at runtime, reporting parallel round
-times, completed migrations and per-VM downtime.  It accepts the same
-``--faults`` spec (``evacuate`` drains crashed / degraded nodes).
-
-``dfrs`` runs the design-space comparator (:mod:`repro.dfrs`): the same
-mixed-tenancy cell under plain CR, the paper's ATC, cluster-level DFRS
-fractional allocation (per-VM caps/weights re-solved periodically from
-monitor signals), and the ATC+DFRS hybrid, printing one normalized
-table.  ``--moves`` additionally lets the DFRS controller relocate VMs
-through the live-migration engine.
-
-``serve`` runs the always-on service scenario (:mod:`repro.service`):
-tenants arrive as a stream (Poisson at ``--rate``, or ``--arrival trace``
-replaying ``--trace-file``), the ``--admission`` policy admits / queues /
-rejects each one, completed tenants are torn down with their capacity
-reclaimed, and the admission/SLO rollup plus a per-tenant table are
-printed.  ``migration-aware`` admission auto-attaches a demix rebalancer
-and kicks it under admission pressure.
-
-``trace`` runs one traced type-A cell (:mod:`repro.obs.trace`) and writes
-a JSON-lines trace plus a Chrome ``trace_event`` file (open in Perfetto
-or ``chrome://tracing``).  Tracing is read-only: a traced run is
-bit-identical to an untraced one.
-
-``perf`` runs the simulator self-profiling micro-suite
-(:mod:`repro.obs.perfsuite`): events/sec, per-category callback
-attribution and cancelled-event waste, written as ``BENCH_perf_*.json``
-and optionally gated against ``benchmarks/perf/baseline.json``.
-
-``lint`` runs the static determinism checker
-(:mod:`repro.analysis.lint`) over the given paths.
-
-``races`` runs the order-dependence detector
-(:mod:`repro.analysis.races`): each cell executes twice — tie_order
-``fifo`` and ``reversed`` — and the result dicts are diffed; any leaf
-difference is a *confirmed* order dependence (exit 1).  The forward run
-also records SAN008 tie-group suspects (heuristic non-commuting
-same-timestamp pairs) unless ``--no-track``.  Without a scenario it
-checks the curated invariant cell list.
+Run modes: every experiment verb (``repro list``) is a row of
+:data:`VERBS` and executes through :mod:`repro.experiments.runner`.
+``--jobs N`` fans its independent cells over N worker processes
+(bit-identical to serial), results are cached under ``.repro_cache/``
+(``--no-cache`` bypasses it), ``--json PATH`` exports the full result
+set, ``--sanitize`` runs every cell under the runtime invariant sanitizer
+(:mod:`repro.analysis.sanitizer`; violations fail the cell),
+``--cell-timeout S`` bounds each cell's host wall clock and ``--salvage
+PATH`` writes the structured partial-result report.  The tool verbs
+(``trace``, ``perf``, ``lint``, ``races``) have their own handlers.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import sys
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Mapping, Optional, Sequence
 
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import (
+    RunResult,
     RunSpec,
     export_json,
     run_sweep,
     sweep_stats,
     write_salvage,
 )
-from repro.experiments.scenarios import run_packet_path_probe
 from repro.schedulers.registry import scheduler_names
 from repro.service.admission import admission_names
 from repro.workloads.npb import NPB_EXTENDED
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "VERBS"]
 
 COMPARE_SCHEDS = ("CR", "BS", "CS", "DSS", "ATC")
+DFRS_MODES = ("baseline", "atc", "dfrs", "hybrid")
+
+#: Every flag used by more than one verb, declared once as its
+#: ``add_argument`` keywords.  A verb names the flags it takes and may
+#: override keywords (usually the default); a name missing here is a flag
+#: private to one verb, declared entirely by that verb's keywords.
+ARGS: dict[str, dict] = {
+    "scheduler": dict(default="ATC", choices=scheduler_names()),
+    "nodes": dict(type=int, default=2),
+    "seed": dict(type=int, default=0),
+    "app": dict(default="lu", choices=NPB_EXTENDED),
+    "rounds": dict(type=int, default=2),
+    "npb-class": dict(default="B", choices=["A", "B", "C"]),
+    "horizon": dict(type=float, help="virtual seconds"),
+    "slice": dict(type=float, default=None, help="uniform slice (ms)"),
+    "faults": dict(default=None, metavar="SPEC",
+                   help="fault plan: random:N[:SEED], inline JSON, or a plan file"),
+    "placement": dict(default="pack", metavar="POLICY",
+                      help="initial placement: spread, pack, striped, or "
+                      "random:SEED (default pack, which mixes clusters)"),
+    "clusters": dict(type=int, default=2, metavar="N",
+                     help="parallel virtual clusters (default 2)"),
+    "vms-per-cluster": dict(type=int, default=2, metavar="N"),
+    "json": dict(metavar="PATH", default=None,
+                 help="export the full sweep results as JSON"),
+    "jobs": dict(type=int, default=1, metavar="N",
+                 help="worker processes for independent cells (default 1)"),
+    "no-cache": dict(action="store_true",
+                     help="bypass the on-disk result cache (.repro_cache/)"),
+    "sanitize": dict(action="store_true",
+                     help="run cells under the runtime invariant sanitizer "
+                     "(bit-identical results; violations fail the cell)"),
+    "cell-timeout": dict(type=float, default=None, metavar="S",
+                         help="host wall-clock budget per cell; overdue workers "
+                         "are killed and the cell fails, the sweep continues"),
+    "salvage": dict(metavar="PATH", default=None,
+                    help="write the structured salvage report (healthy + "
+                    "failed cells) as JSON"),
+}
+
+#: The runner flags every table verb takes after its own.
+RUNNER_ARGS = ("jobs", "no-cache", "json", "sanitize", "cell-timeout", "salvage")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Construct the ``repro`` argument parser (one subcommand per experiment)."""
-    p = argparse.ArgumentParser(
-        prog="repro",
-        description="Reproduction of 'Dynamic Acceleration of Parallel "
-        "Applications in Cloud Platforms by Adaptive Time-Slice Control' "
-        "(IPDPS 2016) on a discrete-event virtualized-cluster simulator.",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
+def _add_args(sp: argparse.ArgumentParser, names: Sequence) -> None:
+    """Add ``--name`` for each entry: a flag name, or ``(name, overrides)``."""
+    for item in names:
+        name, overrides = (item, {}) if isinstance(item, str) else item
+        sp.add_argument(f"--{name}", **{**ARGS.get(name, {}), **overrides})
 
-    sub.add_parser("list", help="list schedulers, kernels and experiments")
 
-    def runner_opts(sp):
-        sp.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for independent cells (default 1)")
-        sp.add_argument("--no-cache", action="store_true",
-                        help="bypass the on-disk result cache (.repro_cache/)")
-        sp.add_argument("--json", metavar="PATH", default=None,
-                        help="export the full sweep results as JSON")
-        sp.add_argument("--sanitize", action="store_true",
-                        help="run cells under the runtime invariant sanitizer "
-                        "(bit-identical results; violations fail the cell)")
-        sp.add_argument("--cell-timeout", type=float, default=None, metavar="S",
-                        help="host wall-clock budget per cell; overdue workers "
-                        "are killed and the cell fails, the sweep continues")
-        sp.add_argument("--salvage", metavar="PATH", default=None,
-                        help="write the structured salvage report (healthy + "
-                        "failed cells) as JSON")
+class UsageError(Exception):
+    """A verb's arguments cannot form cells (exit code 2)."""
 
-    def common(sp, app=True):
-        sp.add_argument("--scheduler", default="ATC", choices=scheduler_names())
-        sp.add_argument("--nodes", type=int, default=2)
-        sp.add_argument("--seed", type=int, default=0)
-        if app:
-            sp.add_argument("--app", default="lu", choices=NPB_EXTENDED)
 
-    sp = sub.add_parser("typea", help="evaluation type A (Figs. 1, 10)")
-    common(sp)
-    sp.add_argument("--rounds", type=int, default=2)
-    sp.add_argument("--npb-class", default="B", choices=["A", "B", "C"])
-    sp.add_argument("--faults", default=None, metavar="SPEC",
-                    help="fault plan: random:N[:SEED], inline JSON, or a plan file")
-    runner_opts(sp)
+@dataclass(frozen=True)
+class Verb:
+    """A table verb: the cells it runs and the table it prints from them.
 
-    sp = sub.add_parser("compare", help="type A under every approach, normalized")
-    common(sp, app=True)
-    sp.add_argument("--rounds", type=int, default=2)
-    runner_opts(sp)
+    ``args`` are the verb's own flags in :func:`_add_args` form; the
+    dispatcher appends :data:`RUNNER_ARGS`.  ``after`` runs once the table is printed and returns the exit code
+    (extra stderr lines, a second table).  A ``partial`` verb renders
+    failed cells too instead of exiting 1 before the table.
+    """
 
-    sp = sub.add_parser("sweep", help="static slice sweep under CR (Figs. 5, 8)")
-    sp.add_argument("--app", default="lu", choices=NPB_EXTENDED)
-    sp.add_argument("--nodes", type=int, default=2)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--slices", default="30,12,6,1,0.3", help="comma-separated ms values")
-    sp.add_argument("--npb-class", default="B", choices=["A", "B", "C"])
-    sp.add_argument("--faults", default=None, metavar="SPEC",
-                    help="fault plan: random:N[:SEED], inline JSON, or a plan file")
-    runner_opts(sp)
-
-    sp = sub.add_parser("mix", help="parallel + non-parallel coexistence (Figs. 2, 9)")
-    sp.add_argument("--scheduler", default="ATC", choices=scheduler_names())
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--horizon", type=float, default=6.0, help="virtual seconds")
-    sp.add_argument("--np-slice", type=float, default=None, help="admin slice (ms) for non-parallel VMs under ATC")
-    runner_opts(sp)
-
-    sp = sub.add_parser("typeb", help="LLNL-trace cluster mix (Fig. 11)")
-    sp.add_argument("--scheduler", default="ATC", choices=scheduler_names())
-    sp.add_argument("--nodes", type=int, default=6)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--horizon", type=float, default=8.0)
-    runner_opts(sp)
-
-    sp = sub.add_parser("chaos", help="fault-injected run vs clean baseline (repro.faults)")
-    common(sp)
-    sp.add_argument("--rounds", type=int, default=6)
-    sp.add_argument("--horizon", type=float, default=12.0, help="virtual seconds")
-    sp.add_argument("--faults", default="random:3:1", metavar="SPEC",
-                    help="fault plan: random:N[:SEED], inline JSON, or a plan file "
-                    "(default random:3:1)")
-    runner_opts(sp)
-
-    sp = sub.add_parser("migrate", help="live-migration rebalancing vs static placement (repro.migration)")
-    sp.add_argument("--scheduler", default="ATC", choices=scheduler_names())
-    sp.add_argument("--nodes", type=int, default=3)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--app", default="lu", choices=NPB_EXTENDED)
-    sp.add_argument("--policy", default="demix",
-                    choices=["demix", "consolidate", "evacuate", "none"],
-                    help="rebalancing policy (default demix; 'none' attaches "
-                    "the engine without a controller)")
-    sp.add_argument("--placement", default="pack", metavar="POLICY",
-                    help="initial placement: spread, pack, striped, or "
-                    "random:SEED (default pack, which mixes clusters)")
-    sp.add_argument("--clusters", type=int, default=2, metavar="N",
-                    help="parallel virtual clusters (default 2)")
-    sp.add_argument("--vms-per-cluster", type=int, default=2, metavar="N")
-    sp.add_argument("--horizon", type=float, default=10.0, help="virtual seconds")
-    sp.add_argument("--faults", default=None, metavar="SPEC",
-                    help="fault plan: random:N[:SEED], inline JSON, or a plan file")
-    runner_opts(sp)
-
-    sp = sub.add_parser("dfrs", help="cluster-level fractional allocation vs "
-                        "ATC: {CR, ATC, CR+DFRS, ATC+DFRS} on one mixed-"
-                        "tenancy cell (repro.dfrs)")
-    sp.add_argument("--nodes", type=int, default=3)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--app", default="lu", choices=NPB_EXTENDED)
-    sp.add_argument("--placement", default="pack", metavar="POLICY",
-                    help="initial placement: spread, pack, striped, or "
-                    "random:SEED (default pack, which mixes clusters)")
-    sp.add_argument("--clusters", type=int, default=2, metavar="N",
-                    help="parallel virtual clusters (default 2)")
-    sp.add_argument("--vms-per-cluster", type=int, default=2, metavar="N")
-    sp.add_argument("--horizon", type=float, default=10.0, help="virtual seconds")
-    sp.add_argument("--solve-every", type=int, default=4, metavar="N",
-                    help="re-solve the fractional allocation every N "
-                    "accounting periods (default 4)")
-    sp.add_argument("--headroom", type=float, default=1.25,
-                    help="cap slack multiplier over the solved allocation "
-                    "(default 1.25)")
-    sp.add_argument("--moves", action="store_true",
-                    help="let DFRS relocate VMs through the live-migration "
-                    "engine (off by default)")
-    runner_opts(sp)
-
-    sp = sub.add_parser("serve", help="always-on service: streaming tenant "
-                        "arrivals under online admission (repro.service)")
-    sp.add_argument("--scheduler", default="ATC", choices=scheduler_names())
-    sp.add_argument("--nodes", type=int, default=3)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--admission", default="fcfs-queue", choices=admission_names(),
-                    help="admission policy (default fcfs-queue)")
-    sp.add_argument("--arrival", default="poisson", choices=["poisson", "trace"],
-                    help="arrival source (trace replays --trace-file)")
-    sp.add_argument("--rate", type=float, default=2.0, metavar="PER_S",
-                    help="Poisson arrival rate, tenants per virtual second "
-                    "(default 2.0)")
-    sp.add_argument("--tenants", type=int, default=6, metavar="N",
-                    help="total tenants to generate (default 6)")
-    sp.add_argument("--rounds", type=int, default=1,
-                    help="NPB rounds each tenant runs (default 1)")
-    sp.add_argument("--placement", default="pack", metavar="POLICY",
-                    help="initial placement policy (default pack)")
-    sp.add_argument("--trace-file", default=None, metavar="PATH",
-                    help="JSON arrival trace for --arrival trace: a list of "
-                    '{"at_ms", "n_vms", "app", "rounds"} dicts')
-    sp.add_argument("--horizon", type=float, default=30.0, help="virtual seconds")
-    runner_opts(sp)
-
-    sp = sub.add_parser("attack", help="adversarial tenancy: yield-theft + "
-                        "tickle-storm attackers vs hardening knobs "
-                        "(repro.workloads.attacks, DESIGN.md §15)")
-    sp.add_argument("--scheduler", default=None, choices=["CR", "ATC"],
-                    help="restrict the grid to one scheduler (default: both)")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--app", default="lu", choices=NPB_EXTENDED,
-                    help="parallel victim application (default lu)")
-    sp.add_argument("--horizon", type=float, default=6.0, help="virtual seconds")
-    runner_opts(sp)
-
-    sp = sub.add_parser("probe", help="Fig. 4 packet-path hop decomposition")
-    sp.add_argument("--scheduler", default="CR", choices=scheduler_names())
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--probes", type=int, default=50)
-    sp.add_argument("--slice", type=float, default=None, help="uniform slice (ms)")
-    sp.add_argument("--sanitize", action="store_true",
-                    help="run under the runtime invariant sanitizer")
-
-    sp = sub.add_parser("trace", help="traced run: JSON-lines + Chrome trace_event export")
-    sp.add_argument("--app", default="is", choices=NPB_EXTENDED)
-    sp.add_argument("--scheduler", default="ATC", choices=scheduler_names())
-    sp.add_argument("--nodes", type=int, default=2)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--rounds", type=int, default=1)
-    sp.add_argument("--slice", type=float, default=None,
-                    help="uniform guest slice (ms; adaptive schedulers overwrite it)")
-    sp.add_argument("--horizon", type=float, default=20.0, help="virtual seconds")
-    sp.add_argument("--capacity", type=int, default=65536,
-                    help="trace ring-buffer capacity (records; oldest evicted)")
-    sp.add_argument("--out", default="trace_out/trace", metavar="PREFIX",
-                    help="output prefix: writes PREFIX.jsonl and PREFIX.trace.json")
-
-    sp = sub.add_parser("perf", help="simulator self-profiling micro-suite (BENCH_perf_*.json)")
-    sp.add_argument("--cases", default=None, metavar="NAMES",
-                    help="comma-separated case names (default: all)")
-    sp.add_argument("--quick", action="store_true",
-                    help="scaled-down workloads (CI smoke / tests)")
-    sp.add_argument("--out", default="benchmarks/perf/results", metavar="DIR",
-                    help="directory for BENCH_perf_*.json")
-    sp.add_argument("--check", default=None, metavar="BASELINE",
-                    help="fail if events/sec regresses vs this baseline.json")
-    sp.add_argument("--tolerance", type=float, default=None,
-                    help="allowed fractional regression for --check "
-                    "(default 0.15, or REPRO_PERF_TOLERANCE)")
-    sp.add_argument("--write-baseline", default=None, metavar="PATH",
-                    help="record measured events/sec as the new baseline")
-    sp.add_argument("--history", default=None, metavar="JSONL",
-                    help="append one events/sec trend line per run "
-                    "(e.g. benchmarks/perf/history.jsonl)")
-    sp.add_argument("--label", default=None,
-                    help="run label for --history (default: $GITHUB_SHA or 'local')")
-
-    sp = sub.add_parser("lint", help="static determinism lint (RPR rules)")
-    sp.add_argument("paths", nargs="*",
-                    default=["src/repro", "benchmarks", "tests", "examples"],
-                    help="files/directories to lint "
-                    "(default: src/repro benchmarks tests examples)")
-    sp.add_argument("--format", choices=["text", "json"], default="text")
-    sp.add_argument("--select", default=None, metavar="CODES",
-                    help="comma-separated rule codes to run (default: all)")
-    sp.add_argument("--list-rules", action="store_true",
-                    help="print the rule catalogue and exit")
-
-    sp = sub.add_parser(
-        "races",
-        help="order-dependence detector: forward/reversed tie-order "
-        "differential + SAN008 tie-group tracking (repro.analysis.races)",
-    )
-    sp.add_argument("scenario", nargs="?", default=None,
-                    help="scenario to check (e.g. type_a); default: the "
-                    "curated invariant cell list")
-    sp.add_argument("--app", default="ep", choices=NPB_EXTENDED)
-    sp.add_argument("--scheduler", default="ATC", choices=scheduler_names())
-    sp.add_argument("--nodes", type=int, default=2)
-    sp.add_argument("--rounds", type=int, default=2)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--no-track", action="store_true",
-                    help="skip SAN008 attribute tracking; run only the "
-                    "forward/reversed metric differential (faster)")
-    sp.add_argument("--json", metavar="PATH", default=None,
-                    help="write the full report as JSON")
-    sp.add_argument("--suspects", type=int, default=5, metavar="N",
-                    help="distinct SAN008 suspect patterns to print per "
-                    "cell (default 5; 0 silences them)")
-    return p
+    help: str
+    args: tuple
+    cells: Callable[[argparse.Namespace], list[RunSpec]]
+    table: Callable[[argparse.Namespace, list[RunResult]], tuple]
+    after: Optional[Callable[[argparse.Namespace, list[RunResult]], int]] = None
+    partial: bool = False
+    defaults: Mapping = field(default_factory=dict)
 
 
 def _progress(done: int, total: int, result) -> None:
@@ -351,20 +119,19 @@ def _progress(done: int, total: int, result) -> None:
     )
 
 
-def _run_cells(args, specs: list[RunSpec], allow_partial: bool = False) -> Optional[list]:
-    """Execute cells through the shared runner; None when any cell failed
-    (unless ``allow_partial``, which returns whatever settled)."""
+def _run_cells(args, specs: list[RunSpec]) -> list[RunResult]:
+    """Execute cells through the shared runner, reporting to stderr."""
     progress = _progress if (args.jobs > 1 or len(specs) > 1) else None
     results = run_sweep(
         specs,
         jobs=args.jobs,
         use_cache=not args.no_cache,
         progress=progress,
-        cell_timeout_s=getattr(args, "cell_timeout", None),
+        cell_timeout_s=args.cell_timeout,
     )
     if args.json:
         export_json(results, args.json)
-    if getattr(args, "salvage", None):
+    if args.salvage:
         print(f"salvage report: {write_salvage(results, args.salvage)}", file=sys.stderr)
     stats = sweep_stats(results)
     if len(specs) > 1:
@@ -374,8 +141,9 @@ def _run_cells(args, specs: list[RunSpec], allow_partial: bool = False) -> Optio
             f"{stats['wall_s']:.2f}s simulated wall, {stats['events']} events",
             file=sys.stderr,
         )
-    failed = [r for r in results if not r.ok]
-    for r in failed:
+    for r in results:
+        if r.ok:
+            continue
         err = r.error or {}
         print(
             f"cell {r.spec.label} failed after {err.get('attempts', '?')} attempts: "
@@ -387,127 +155,115 @@ def _run_cells(args, specs: list[RunSpec], allow_partial: bool = False) -> Optio
                 f"  {v['code']} @t={v['time_ns']}: {v['message']}",
                 file=sys.stderr,
             )
-    if failed and not allow_partial:
-        return None
     return results
 
 
-def _cmd_list() -> None:
-    print("schedulers :", ", ".join(scheduler_names()))
-    print("NPB kernels:", ", ".join(NPB_EXTENDED), "(classes A/B/C)")
-    print("experiments: typea, compare, sweep, mix, typeb, chaos, migrate, dfrs, serve, attack, probe")
-    print("tools      : trace (structured tracing + Perfetto export), "
-          "perf (self-profiling micro-suite), "
-          "lint (static determinism checks; --list-rules for codes), "
-          "races (same-timestamp order-dependence detector)")
+def _run_verb(name: str, args) -> int:
+    """The one path every table verb takes: cells -> runner -> table."""
+    verb = VERBS[name]
+    try:
+        specs = verb.cells(args)
+    except UsageError as exc:
+        print(f"repro {name}: {exc}", file=sys.stderr)
+        return 2
+    specs = [dataclasses.replace(s, sanitize=args.sanitize) for s in specs]
+    results = _run_cells(args, specs)
+    if not verb.partial and not all(r.ok for r in results):
+        return 1
+    headers, rows, title = verb.table(args, results)
+    print(format_table(headers, rows, title=title))
+    return verb.after(args, results) if verb.after else 0
 
 
-def _parse_faults(args, horizon_s: float) -> Optional[list]:
-    """``--faults`` spec -> plan dict list for scenario params (or None)."""
-    spec = getattr(args, "faults", None)
-    if not spec:
-        return None
+def _faults(args, horizon_s: float) -> dict:
+    """``--faults`` spec -> ``{"faults": plan dicts}``, or ``{}`` for none."""
+    if not args.faults:
+        return {}
     from repro.faults.plan import parse_fault_spec
     from repro.sim.units import SEC
 
-    plan = parse_fault_spec(spec, args.nodes, round(horizon_s * SEC))
-    return plan.to_dicts() if plan else None
+    plan = parse_fault_spec(args.faults, args.nodes, round(horizon_s * SEC))
+    return {"faults": plan.to_dicts()} if plan else {}
 
 
-def _cmd_typea(args) -> int:
-    params = dict(
-        app_name=args.app, scheduler=args.scheduler, n_nodes=args.nodes,
-        rounds=args.rounds, warmup_rounds=1, npb_class=args.npb_class, seed=args.seed,
-    )
-    faults = _parse_faults(args, 300.0)
-    if faults:
-        params["faults"] = faults
-    spec = RunSpec("type_a", params, sanitize=args.sanitize)
-    results = _run_cells(args, [spec])
-    if results is None:
-        return 1
+def _type_a(args, scheduler: str, **extra) -> dict:
+    return dict(app_name=args.app, scheduler=scheduler, n_nodes=args.nodes,
+                rounds=args.rounds, warmup_rounds=1, **extra)
+
+
+# ----------------------------------------------------------------------
+# Table verbs: cells(args) and table(args, results) [-> after(args, results)]
+# ----------------------------------------------------------------------
+def _typea_cells(args) -> list[RunSpec]:
+    params = _type_a(args, args.scheduler, npb_class=args.npb_class, seed=args.seed,
+                     **_faults(args, 300.0))
+    return [RunSpec("type_a", params)]
+
+
+def _typea_table(args, results):
     r = results[0].value
-    print(
-        format_table(
-            ["app", "scheduler", "nodes", "mean round (ms)", "avg spin (ms)", "done"],
-            [(r["app"], r["scheduler"], r["n_nodes"], r["mean_round_ns"] / 1e6,
-              r["avg_spin_ns"] / 1e6, r["all_done"])],
-            title="Evaluation type A",
-        )
+    return (
+        ["app", "scheduler", "nodes", "mean round (ms)", "avg spin (ms)", "done"],
+        [(r["app"], r["scheduler"], r["n_nodes"], r["mean_round_ns"] / 1e6,
+          r["avg_spin_ns"] / 1e6, r["all_done"])],
+        "Evaluation type A",
     )
-    return 0
 
 
-def _cmd_compare(args) -> int:
-    specs = [
-        RunSpec("type_a", dict(
-            app_name=args.app, scheduler=sched, n_nodes=args.nodes,
-            rounds=args.rounds, warmup_rounds=1, seed=args.seed,
-        ), label=f"compare:{sched}", sanitize=args.sanitize)
+def _compare_cells(args) -> list[RunSpec]:
+    return [
+        RunSpec("type_a", _type_a(args, sched, seed=args.seed), label=f"compare:{sched}")
         for sched in COMPARE_SCHEDS
     ]
-    results = _run_cells(args, specs)
-    if results is None:
-        return 1
+
+
+def _compare_table(args, results):
     base = results[0].value["mean_round_ns"]
     rows = [
         (sched, r.value["mean_round_ns"] / 1e6, r.value["mean_round_ns"] / base)
         for sched, r in zip(COMPARE_SCHEDS, results)
     ]
-    print(
-        format_table(
-            ["scheduler", "mean round (ms)", "normalized vs CR"],
-            rows,
-            title=f"Type A comparison — {args.app} on {args.nodes} nodes",
-        )
-    )
-    return 0
+    return (["scheduler", "mean round (ms)", "normalized vs CR"], rows,
+            f"Type A comparison — {args.app} on {args.nodes} nodes")
 
 
-def _cmd_sweep(args) -> int:
+def _sweep_cells(args) -> list[RunSpec]:
     try:
         slices = [float(s) for s in args.slices.split(",")]
     except ValueError:
-        print(f"repro sweep: --slices expects comma-separated ms values, got {args.slices!r}",
-              file=sys.stderr)
-        return 2
-    faults = _parse_faults(args, 300.0)
-    extra = {"faults": faults} if faults else {}
-    specs = [
+        raise UsageError(
+            f"--slices expects comma-separated ms values, got {args.slices!r}"
+        ) from None
+    extra = _faults(args, 300.0)
+    return [
         RunSpec("slice_sweep", dict(
             app_name=args.app, slice_ms_values=[sm], n_nodes=args.nodes,
             rounds=2, warmup_rounds=1, npb_class=args.npb_class, seed=args.seed,
             **extra,
-        ), label=f"sweep:{args.app}@{sm}ms", sanitize=args.sanitize)
+        ), label=f"sweep:{args.app}@{sm}ms")
         for sm in slices
     ]
-    results = _run_cells(args, specs)
-    if results is None:
-        return 1
+
+
+def _sweep_table(args, results):
     rows = [
         (row["slice_ms"], row["mean_round_ns"] / 1e6, row["avg_spin_ns"] / 1e6,
          row["context_switches"], row["llc_misses"])
         for r in results
         for row in r.value["rows"]
     ]
-    print(
-        format_table(
-            ["slice (ms)", "round (ms)", "spin (ms)", "ctx switches", "LLC misses"],
-            rows,
-            title=f"Slice sweep — {args.app}.{args.npb_class} (CR)",
-        )
-    )
-    return 0
+    return (["slice (ms)", "round (ms)", "spin (ms)", "ctx switches", "LLC misses"], rows,
+            f"Slice sweep — {args.app}.{args.npb_class} (CR)")
 
 
-def _cmd_mix(args) -> int:
-    spec = RunSpec("small_mix", dict(
+def _mix_cells(args) -> list[RunSpec]:
+    return [RunSpec("small_mix", dict(
         scheduler=args.scheduler, seed=args.seed, horizon_s=args.horizon,
         atc_np_slice_ms=args.np_slice,
-    ), sanitize=args.sanitize)
-    results = _run_cells(args, [spec])
-    if results is None:
-        return 1
+    ))]
+
+
+def _mix_table(args, results):
     r = results[0].value
     rows = [
         ("parallel mean round (ms)", r["parallel_mean_round_ns"] / 1e6),
@@ -519,52 +275,38 @@ def _cmd_mix(args) -> int:
     title = f"Mixed tenancy — {args.scheduler}"
     if args.np_slice is not None:
         title += f" (non-parallel slice {args.np_slice} ms)"
-    print(format_table(["metric", "value"], rows, title=title))
-    return 0
+    return ["metric", "value"], rows, title
 
 
-def _cmd_typeb(args) -> int:
-    spec = RunSpec("type_b", dict(
+def _typeb_cells(args) -> list[RunSpec]:
+    return [RunSpec("type_b", dict(
         scheduler=args.scheduler, n_nodes=args.nodes, seed=args.seed,
         horizon_s=args.horizon,
-    ), sanitize=args.sanitize)
-    results = _run_cells(args, [spec])
-    if results is None:
-        return 1
-    r = results[0].value
+    ))]
+
+
+def _typeb_table(args, results):
     rows = [
         (vc["vc"], vc["app"], vc["n_vms"], vc["rounds"],
          vc["mean_round_ns"] / 1e6 if vc["mean_round_ns"] == vc["mean_round_ns"] else "n/a")
-        for vc in r["vcs"]
+        for vc in results[0].value["vcs"]
     ]
-    print(
-        format_table(
-            ["VC", "app", "VMs", "rounds", "mean round (ms)"],
-            rows,
-            title=f"Type B (LLNL trace mix) — {args.scheduler} on {args.nodes} nodes",
-        )
-    )
-    return 0
+    return (["VC", "app", "VMs", "rounds", "mean round (ms)"], rows,
+            f"Type B (LLNL trace mix) — {args.scheduler} on {args.nodes} nodes")
 
 
-def _cmd_chaos(args) -> int:
-    faults = _parse_faults(args, args.horizon)
+def _chaos_cells(args) -> list[RunSpec]:
+    faults = _faults(args, args.horizon)
     if not faults:
-        print("repro chaos: --faults resolved to an empty plan", file=sys.stderr)
-        return 2
-    base = dict(
-        app_name=args.app, scheduler=args.scheduler, n_nodes=args.nodes,
-        rounds=args.rounds, warmup_rounds=1, seed=args.seed,
-        horizon_s=args.horizon,
-    )
-    specs = [
-        RunSpec("type_a", dict(base), label="chaos:baseline", sanitize=args.sanitize),
-        RunSpec("type_a", dict(base, faults=faults), label="chaos:faulted",
-                sanitize=args.sanitize),
+        raise UsageError("--faults resolved to an empty plan")
+    base = _type_a(args, args.scheduler, seed=args.seed, horizon_s=args.horizon)
+    return [
+        RunSpec("type_a", base, label="chaos:baseline"),
+        RunSpec("type_a", dict(base, **faults), label="chaos:faulted"),
     ]
-    if not getattr(args, "salvage", None):
-        args.salvage = "chaos_salvage.json"
-    results = _run_cells(args, specs, allow_partial=True)
+
+
+def _chaos_table(args, results):
     rows = []
     for r in results:
         if r.ok:
@@ -574,13 +316,11 @@ def _cmd_chaos(args) -> int:
         else:
             err = (r.error or {}).get("type", "?")
             rows.append((r.spec.label, "-", "-", "-", f"FAILED:{err}", "-"))
-    print(
-        format_table(
-            ["cell", "rounds", "mean round (ms)", "avg spin (ms)", "done", "events"],
-            rows,
-            title=f"Chaos — {args.app} on {args.nodes} nodes, plan {args.faults}",
-        )
-    )
+    return (["cell", "rounds", "mean round (ms)", "avg spin (ms)", "done", "events"], rows,
+            f"Chaos — {args.app} on {args.nodes} nodes, plan {args.faults}")
+
+
+def _chaos_after(args, results) -> int:
     faulted = next((r for r in results if r.spec.label == "chaos:faulted" and r.ok), None)
     if faulted is not None and "faults" in faulted.value:
         fs = faulted.value["faults"]
@@ -595,24 +335,21 @@ def _cmd_chaos(args) -> int:
     return 0 if all(r.ok for r in results) else 1
 
 
-def _cmd_migrate(args) -> int:
-    faults = _parse_faults(args, args.horizon)
+def _migrate_cells(args) -> list[RunSpec]:
     base = dict(
         placement=args.placement, scheduler=args.scheduler, n_nodes=args.nodes,
         n_clusters=args.clusters, vms_per_cluster=args.vms_per_cluster,
         app_name=args.app, seed=args.seed, horizon_s=args.horizon,
+        **_faults(args, args.horizon),
     )
-    if faults:
-        base["faults"] = faults
-    specs = [
-        RunSpec("migration_rebalance", dict(base, policy="static"),
-                label="migrate:static", sanitize=args.sanitize),
+    return [
+        RunSpec("migration_rebalance", dict(base, policy="static"), label="migrate:static"),
         RunSpec("migration_rebalance", dict(base, policy=args.policy),
-                label=f"migrate:{args.policy}", sanitize=args.sanitize),
+                label=f"migrate:{args.policy}"),
     ]
-    results = _run_cells(args, specs)
-    if results is None:
-        return 1
+
+
+def _migrate_table(args, results):
     rows = []
     for r in results:
         v = r.value
@@ -622,30 +359,22 @@ def _cmd_migrate(args) -> int:
             mig.get("completed", 0), mig.get("aborted", 0),
             mig.get("downtime_total_ns", 0) / 1e6, v["events"],
         ))
-    print(
-        format_table(
-            ["cell", "parallel round (ms)", "migrations", "aborted",
-             "downtime (ms)", "events"],
+    return (["cell", "parallel round (ms)", "migrations", "aborted", "downtime (ms)", "events"],
             rows,
-            title=f"Migration rebalance — {args.app} x{args.clusters} clusters, "
-            f"{args.placement} placement on {args.nodes} nodes",
-        )
-    )
-    rebalanced = results[1].value
-    moved = {
-        vm: node for vm, node in rebalanced["final_nodes"].items()
-        if results[0].value["final_nodes"].get(vm) != node
-    }
+            f"Migration rebalance — {args.app} x{args.clusters} clusters, "
+            f"{args.placement} placement on {args.nodes} nodes")
+
+
+def _migrate_after(args, results) -> int:
+    static, rebalanced = (r.value["final_nodes"] for r in results)
+    moved = {vm: node for vm, node in rebalanced.items() if static.get(vm) != node}
     if moved:
         placed = ", ".join(f"{vm}->node{n}" for vm, n in sorted(moved.items()))
         print(f"moved: {placed}", file=sys.stderr)
     return 0
 
 
-DFRS_MODES = ("baseline", "atc", "dfrs", "hybrid")
-
-
-def _cmd_dfrs(args) -> int:
+def _dfrs_cells(args) -> list[RunSpec]:
     dfrs = {"solve_every": args.solve_every, "headroom": args.headroom}
     if args.moves:
         dfrs["allow_moves"] = True
@@ -655,14 +384,13 @@ def _cmd_dfrs(args) -> int:
         app_name=args.app, seed=args.seed, horizon_s=args.horizon,
         dfrs=dfrs,
     )
-    specs = [
-        RunSpec("dfrs_compare", dict(base, mode=mode),
-                label=f"dfrs:{mode}", sanitize=args.sanitize)
+    return [
+        RunSpec("dfrs_compare", dict(base, mode=mode), label=f"dfrs:{mode}")
         for mode in DFRS_MODES
     ]
-    results = _run_cells(args, specs)
-    if results is None:
-        return 1
+
+
+def _dfrs_table(args, results):
     base_round = results[0].value["parallel_mean_round_ns"]
     rows = []
     for mode, r in zip(DFRS_MODES, results):
@@ -676,24 +404,22 @@ def _cmd_dfrs(args) -> int:
             d.get("solves", "-"), d.get("caps_applied", "-"),
             f"{d['last_min_yield']:.3f}" if d else "-",
         ))
-    print(
-        format_table(
-            ["mode", "sched", "parallel round (ms)", "vs CR",
+    return (["mode", "sched", "parallel round (ms)", "vs CR",
              "sphinx3 (ms)", "solves", "caps", "min yield"],
             rows,
-            title=f"DFRS comparator — {args.app} x{args.clusters} clusters, "
-            f"{args.placement} placement on {args.nodes} nodes",
-        )
-    )
+            f"DFRS comparator — {args.app} x{args.clusters} clusters, "
+            f"{args.placement} placement on {args.nodes} nodes")
+
+
+def _dfrs_after(args, results) -> int:
     violations = sum(r.value.get("dfrs", {}).get("violations", 0) for r in results)
     if violations:
-        print(f"SAN009: {violations} allocation-consistency violation(s)",
-              file=sys.stderr)
+        print(f"SAN009: {violations} allocation-consistency violation(s)", file=sys.stderr)
         return 1
     return 0
 
 
-def _cmd_serve(args) -> int:
+def _serve_cells(args) -> list[RunSpec]:
     params = dict(
         admission=args.admission, arrival=args.arrival, scheduler=args.scheduler,
         n_nodes=args.nodes, placement=args.placement, rate_per_s=args.rate,
@@ -701,15 +427,12 @@ def _cmd_serve(args) -> int:
         horizon_s=args.horizon,
     )
     if args.trace_file:
-        import json as _json
-
         with open(args.trace_file) as fh:
-            params["service_trace"] = _json.load(fh)
-    spec = RunSpec("service", params, label=f"serve:{args.admission}",
-                   sanitize=args.sanitize)
-    results = _run_cells(args, [spec])
-    if results is None:
-        return 1
+            params["service_trace"] = json.load(fh)
+    return [RunSpec("service", params, label=f"serve:{args.admission}")]
+
+
+def _serve_table(args, results):
     s = results[0].value["service"]
     rows = [
         ("submitted", s["submitted"]),
@@ -723,79 +446,75 @@ def _cmd_serve(args) -> int:
         ("mean slowdown", f"{s['slowdown_mean']:.3f}"),
         ("rebalancer kicks", s["rebalancer_kicks"]),
     ]
-    print(
-        format_table(
-            ["metric", "value"],
-            rows,
-            title=f"Service — {args.admission} admission, {args.arrival} "
-            f"arrivals on {args.nodes} nodes",
-        )
-    )
+    return (["metric", "value"], rows,
+            f"Service — {args.admission} admission, {args.arrival} "
+            f"arrivals on {args.nodes} nodes")
+
+
+def _serve_after(args, results) -> int:
     tenant_rows = [
         (t["name"], t["app"], t["n_vms"], t["state"],
          "-" if t["wait_ns"] is None else f"{t['wait_ns'] / 1e6:.3f}",
          "-" if t["slowdown"] is None else f"{t['slowdown']:.3f}")
-        for t in s["tenants"]
+        for t in results[0].value["service"]["tenants"]
     ]
     if tenant_rows:
-        print(
-            format_table(
-                ["tenant", "app", "vms", "state", "wait (ms)", "slowdown"],
-                tenant_rows,
-                title="Tenants",
-            )
-        )
+        print(format_table(["tenant", "app", "vms", "state", "wait (ms)", "slowdown"],
+                           tenant_rows, title="Tenants"))
     return 0
 
 
-def _cmd_attack(args) -> int:
-    scheds = [args.scheduler] if args.scheduler else ["CR", "ATC"]
-    specs = [
+def _attack_scheds(args) -> list[str]:
+    return [args.scheduler] if args.scheduler else ["CR", "ATC"]
+
+
+def _attack_cells(args) -> list[RunSpec]:
+    return [
         RunSpec("attack", dict(
             scheduler=sched, hardened=hardened, attack=attack,
             seed=args.seed, horizon_s=args.horizon, victim_app=args.app,
         ), label="attack:{}:{}:{}".format(
             sched, "hard" if hardened else "open", "atk" if attack else "clean"
-        ), sanitize=args.sanitize)
-        for sched in scheds
+        ))
+        for sched in _attack_scheds(args)
         for hardened in (False, True)
         for attack in (False, True)
     ]
-    results = _run_cells(args, specs)
-    if results is None:
-        return 1
-    by = {
-        (r.value["scheduler"], r.value["hardened"], r.value["attack"]): r.value
-        for r in results
-    }
-    rows = []
-    for sched in scheds:
+
+
+def _victim_slowdowns(args, results) -> dict:
+    """``{(scheduler, hardened): (attacked cell, victim slowdown)}``."""
+    by = {(r.value["scheduler"], r.value["hardened"], r.value["attack"]): r.value
+          for r in results}
+    out = {}
+    for sched in _attack_scheds(args):
         for hardened in (False, True):
-            clean = by[(sched, hardened, False)]
             atk = by[(sched, hardened, True)]
-            slow = atk["victim_mean_round_ns"] / clean["victim_mean_round_ns"]
-            rows.append((
-                sched,
-                "hardened" if hardened else "unhardened",
-                f"{slow:.3f}",
-                f"{atk['thief']['gain']:.3f}",
-                atk["tickler"]["boost_preempts_inflicted"],
-                atk["victim_boost_preempts_suffered"],
-            ))
-    print(
-        format_table(
-            ["scheduler", "config", "victim slowdown", "thief gain",
+            clean = by[(sched, hardened, False)]
+            out[(sched, hardened)] = (
+                atk, atk["victim_mean_round_ns"] / clean["victim_mean_round_ns"])
+    return out
+
+
+def _attack_table(args, results):
+    rows = [
+        (sched, "hardened" if hardened else "unhardened", f"{slow:.3f}",
+         f"{atk['thief']['gain']:.3f}",
+         atk["tickler"]["boost_preempts_inflicted"],
+         atk["victim_boost_preempts_suffered"])
+        for (sched, hardened), (atk, slow) in _victim_slowdowns(args, results).items()
+    ]
+    return (["scheduler", "config", "victim slowdown", "thief gain",
              "tickle preempts", "victim preempts"],
             rows,
-            title=f"Adversarial tenancy — {args.app} victim (tick-sampled "
-            "accounting; gain = CPU consumed / CPU debited)",
-        )
-    )
-    for sched in scheds:
-        slow_u = (by[(sched, False, True)]["victim_mean_round_ns"]
-                  / by[(sched, False, False)]["victim_mean_round_ns"])
-        slow_h = (by[(sched, True, True)]["victim_mean_round_ns"]
-                  / by[(sched, True, False)]["victim_mean_round_ns"])
+            f"Adversarial tenancy — {args.app} victim (tick-sampled "
+            "accounting; gain = CPU consumed / CPU debited)")
+
+
+def _attack_after(args, results) -> int:
+    slow = _victim_slowdowns(args, results)
+    for sched in _attack_scheds(args):
+        slow_u, slow_h = slow[(sched, False)][1], slow[(sched, True)][1]
         if slow_u > 1.0:
             rec = (slow_u - slow_h) / (slow_u - 1.0)
             print(f"{sched}: hardening recovers {rec:.0%} of the victim slowdown",
@@ -803,10 +522,15 @@ def _cmd_attack(args) -> int:
     return 0
 
 
-def _cmd_probe(args) -> int:
-    r = run_packet_path_probe(args.scheduler, uniform_slice_ms=args.slice,
-                              n_probes=args.probes, seed=args.seed,
-                              sanitize=args.sanitize)
+def _probe_cells(args) -> list[RunSpec]:
+    return [RunSpec("packet_path_probe", dict(
+        scheduler=args.scheduler, uniform_slice_ms=args.slice,
+        n_probes=args.probes, seed=args.seed,
+    ))]
+
+
+def _probe_table(args, results):
+    r = results[0].value
     rows = [
         ("netback tx wait", r["mean_netback_tx_wait_ns"] / 1e3),
         ("wire", r["mean_wire_ns"] / 1e3),
@@ -814,13 +538,205 @@ def _cmd_probe(args) -> int:
         ("guest consume wait", r["mean_consume_wait_ns"] / 1e3),
         ("end to end", r["mean_end_to_end_ns"] / 1e3),
     ]
-    print(
-        format_table(
-            ["hop", "mean (us)"],
-            rows,
-            title=f"Packet-path probe — {args.scheduler} ({r['probes']} probes)",
-        )
+    return (["hop", "mean (us)"], rows,
+            f"Packet-path probe — {args.scheduler} ({r['probes']} probes)")
+
+
+#: Every runner-backed verb, in ``repro list`` / ``--help`` order.
+VERBS: dict[str, Verb] = {
+    "typea": Verb(
+        "evaluation type A (Figs. 1, 10)",
+        ("scheduler", "nodes", "seed", "app", "rounds", "npb-class", "faults"),
+        _typea_cells, _typea_table,
+    ),
+    "compare": Verb(
+        "type A under every approach, normalized",
+        ("nodes", "seed", "app", "rounds"),
+        _compare_cells, _compare_table,
+    ),
+    "sweep": Verb(
+        "static slice sweep under CR (Figs. 5, 8)",
+        ("app", "nodes", "seed",
+         ("slices", dict(default="30,12,6,1,0.3", help="comma-separated ms values")),
+         "npb-class", "faults"),
+        _sweep_cells, _sweep_table,
+    ),
+    "mix": Verb(
+        "parallel + non-parallel coexistence (Figs. 2, 9)",
+        ("scheduler", "seed", ("horizon", dict(default=6.0)),
+         ("np-slice", dict(type=float, default=None,
+                           help="admin slice (ms) for non-parallel VMs under ATC"))),
+        _mix_cells, _mix_table,
+    ),
+    "typeb": Verb(
+        "LLNL-trace cluster mix (Fig. 11)",
+        ("scheduler", ("nodes", dict(default=6)), "seed", ("horizon", dict(default=8.0))),
+        _typeb_cells, _typeb_table,
+    ),
+    "chaos": Verb(
+        "fault-injected run vs clean baseline (repro.faults)",
+        ("scheduler", "nodes", "seed", "app", ("rounds", dict(default=6)),
+         ("horizon", dict(default=12.0)),
+         ("faults", dict(default="random:3:1",
+                         help="fault plan: random:N[:SEED], inline JSON, or a plan "
+                         "file (default random:3:1)"))),
+        _chaos_cells, _chaos_table, _chaos_after,
+        partial=True, defaults={"salvage": "chaos_salvage.json"},
+    ),
+    "migrate": Verb(
+        "live-migration rebalancing vs static placement (repro.migration)",
+        ("scheduler", ("nodes", dict(default=3)), "seed", "app",
+         ("policy", dict(default="demix", choices=["demix", "consolidate", "evacuate", "none"],
+                         help="rebalancing policy (default demix; 'none' attaches "
+                         "the engine without a controller)")),
+         "placement", "clusters", "vms-per-cluster", ("horizon", dict(default=10.0)), "faults"),
+        _migrate_cells, _migrate_table, _migrate_after,
+    ),
+    "dfrs": Verb(
+        "cluster-level fractional allocation vs ATC: {CR, ATC, CR+DFRS, "
+        "ATC+DFRS} on one mixed-tenancy cell (repro.dfrs)",
+        (("nodes", dict(default=3)), "seed", "app", "placement", "clusters",
+         "vms-per-cluster", ("horizon", dict(default=10.0)),
+         ("solve-every", dict(type=int, default=4, metavar="N",
+                              help="re-solve the fractional allocation every N "
+                              "accounting periods (default 4)")),
+         ("headroom", dict(type=float, default=1.25,
+                           help="cap slack multiplier over the solved allocation "
+                           "(default 1.25)")),
+         ("moves", dict(action="store_true",
+                        help="let DFRS relocate VMs through the live-migration "
+                        "engine (off by default)"))),
+        _dfrs_cells, _dfrs_table, _dfrs_after,
+    ),
+    "serve": Verb(
+        "always-on service: streaming tenant arrivals under online admission "
+        "(repro.service)",
+        ("scheduler", ("nodes", dict(default=3)), "seed",
+         ("admission", dict(default="fcfs-queue", choices=admission_names(),
+                            help="admission policy (default fcfs-queue)")),
+         ("arrival", dict(default="poisson", choices=["poisson", "trace"],
+                          help="arrival source (trace replays --trace-file)")),
+         ("rate", dict(type=float, default=2.0, metavar="PER_S",
+                       help="Poisson arrival rate, tenants per virtual second "
+                       "(default 2.0)")),
+         ("tenants", dict(type=int, default=6, metavar="N",
+                          help="total tenants to generate (default 6)")),
+         ("rounds", dict(default=1, help="NPB rounds each tenant runs (default 1)")),
+         ("placement", dict(help="initial placement policy (default pack)")),
+         ("trace-file", dict(default=None, metavar="PATH",
+                             help="JSON arrival trace for --arrival trace: a list of "
+                             '{"at_ms", "n_vms", "app", "rounds"} dicts')),
+         ("horizon", dict(default=30.0))),
+        _serve_cells, _serve_table, _serve_after,
+    ),
+    "attack": Verb(
+        "adversarial tenancy: yield-theft + tickle-storm attackers vs "
+        "hardening knobs (repro.workloads.attacks, DESIGN.md §15)",
+        (("scheduler", dict(default=None, choices=["CR", "ATC"],
+                            help="restrict the grid to one scheduler (default: both)")),
+         "seed", ("app", dict(help="parallel victim application (default lu)")),
+         ("horizon", dict(default=6.0))),
+        _attack_cells, _attack_table, _attack_after,
+    ),
+    "probe": Verb(
+        "Fig. 4 packet-path hop decomposition",
+        (("scheduler", dict(default="CR")), "seed", ("probes", dict(type=int, default=50)),
+         "slice"),
+        _probe_cells, _probe_table,
+    ),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """Construct the ``repro`` argument parser (one subcommand per experiment)."""
+    p = argparse.ArgumentParser(
+        prog="repro",
+        description="Reproduction of 'Dynamic Acceleration of Parallel "
+        "Applications in Cloud Platforms by Adaptive Time-Slice Control' "
+        "(IPDPS 2016) on a discrete-event virtualized-cluster simulator.",
     )
+    sub = p.add_subparsers(dest="command", required=True)
+
+    sub.add_parser("list", help="list schedulers, kernels and experiments")
+
+    for name, verb in VERBS.items():
+        sp = sub.add_parser(name, help=verb.help)
+        _add_args(sp, verb.args + RUNNER_ARGS)
+        sp.set_defaults(**verb.defaults)
+
+    sp = sub.add_parser("trace", help="traced run: JSON-lines + Chrome trace_event export")
+    _add_args(sp, (
+        ("app", dict(default="is")), "scheduler", "nodes", "seed", ("rounds", dict(default=1)),
+        ("slice", dict(help="uniform guest slice (ms; adaptive schedulers overwrite it)")),
+        ("horizon", dict(default=20.0)),
+        ("capacity", dict(type=int, default=65536,
+                          help="trace ring-buffer capacity (records; oldest evicted)")),
+        ("out", dict(default="trace_out/trace", metavar="PREFIX",
+                     help="output prefix: writes PREFIX.jsonl and PREFIX.trace.json")),
+    ))
+
+    sp = sub.add_parser("perf", help="simulator self-profiling micro-suite (BENCH_perf_*.json)")
+    _add_args(sp, (
+        ("cases", dict(default=None, metavar="NAMES",
+                       help="comma-separated case names (default: all)")),
+        ("quick", dict(action="store_true", help="scaled-down workloads (CI smoke / tests)")),
+        ("out", dict(default="benchmarks/perf/results", metavar="DIR",
+                     help="directory for BENCH_perf_*.json")),
+        ("check", dict(default=None, metavar="BASELINE",
+                       help="fail if events/sec regresses vs this baseline.json")),
+        ("tolerance", dict(type=float, default=None,
+                           help="allowed fractional regression for --check "
+                           "(default 0.15, or REPRO_PERF_TOLERANCE)")),
+        ("write-baseline", dict(default=None, metavar="PATH",
+                                help="record measured events/sec as the new baseline")),
+        ("history", dict(default=None, metavar="JSONL",
+                         help="append one events/sec trend line per run "
+                         "(e.g. benchmarks/perf/history.jsonl)")),
+        ("label", dict(default=None,
+                       help="run label for --history (default: $GITHUB_SHA or 'local')")),
+    ))
+
+    sp = sub.add_parser("lint", help="static determinism lint (RPR rules)")
+    sp.add_argument("paths", nargs="*",
+                    default=["src/repro", "benchmarks", "tests", "examples"],
+                    help="files/directories to lint "
+                    "(default: src/repro benchmarks tests examples)")
+    _add_args(sp, (
+        ("format", dict(choices=["text", "json"], default="text")),
+        ("select", dict(default=None, metavar="CODES",
+                        help="comma-separated rule codes to run (default: all)")),
+        ("list-rules", dict(action="store_true", help="print the rule catalogue and exit")),
+    ))
+
+    sp = sub.add_parser(
+        "races",
+        help="order-dependence detector: forward/reversed tie-order "
+        "differential + SAN008 tie-group tracking (repro.analysis.races)",
+    )
+    sp.add_argument("scenario", nargs="?", default=None,
+                    help="scenario to check (e.g. type_a); default: the "
+                    "curated invariant cell list")
+    _add_args(sp, (
+        ("app", dict(default="ep")), "scheduler", "nodes", "rounds", "seed",
+        ("no-track", dict(action="store_true",
+                          help="skip SAN008 attribute tracking; run only the "
+                          "forward/reversed metric differential (faster)")),
+        ("json", dict(help="write the full report as JSON")),
+        ("suspects", dict(type=int, default=5, metavar="N",
+                          help="distinct SAN008 suspect patterns to print per "
+                          "cell (default 5; 0 silences them)")),
+    ))
+    return p
+
+
+def _cmd_list(args) -> int:
+    print("schedulers :", ", ".join(scheduler_names()))
+    print("NPB kernels:", ", ".join(NPB_EXTENDED), "(classes A/B/C)")
+    print("experiments:", ", ".join(VERBS))
+    print("tools      : trace (structured tracing + Perfetto export), "
+          "perf (self-profiling micro-suite), "
+          "lint (static determinism checks; --list-rules for codes), "
+          "races (same-timestamp order-dependence detector)")
     return 0
 
 
@@ -918,8 +834,6 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_races(args) -> int:
-    import json as _json
-
     from repro.analysis.races import races_report
 
     if args.scenario is None:
@@ -966,7 +880,7 @@ def _cmd_races(args) -> int:
                       file=sys.stderr)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            _json.dump(report, fh, indent=2)
+            json.dump(report, fh, indent=2)
         print(f"wrote {args.json}", file=sys.stderr)
     if report["clean"]:
         print("no confirmed order dependence "
@@ -980,27 +894,16 @@ def _cmd_races(args) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    if args.command == "list":
-        _cmd_list()
-        return 0
-    handlers = {
-        "typea": _cmd_typea,
-        "compare": _cmd_compare,
-        "sweep": _cmd_sweep,
-        "mix": _cmd_mix,
-        "typeb": _cmd_typeb,
-        "chaos": _cmd_chaos,
-        "migrate": _cmd_migrate,
-        "dfrs": _cmd_dfrs,
-        "serve": _cmd_serve,
-        "attack": _cmd_attack,
-        "probe": _cmd_probe,
+    if args.command in VERBS:
+        return _run_verb(args.command, args)
+    tools = {
+        "list": _cmd_list,
         "trace": _cmd_trace,
         "perf": _cmd_perf,
         "lint": _cmd_lint,
         "races": _cmd_races,
     }
-    return handlers[args.command](args)
+    return tools[args.command](args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -174,6 +174,8 @@ class CloudWorld:
     def __init__(self, config: WorldConfig | None = None) -> None:
         self.config = config or WorldConfig()
         cfg = self.config
+        if cfg.uniform_slice_ns is not None and cfg.uniform_slice_ns < 1:
+            raise ValueError(f"uniform_slice_ns must be >= 1, got {cfg.uniform_slice_ns}")
         self.sim = Simulator(tie_order=cfg.tie_order)
         self.rng = SimRNG(cfg.seed)
         self.cluster: Cluster = build_cluster(

@@ -362,9 +362,10 @@ def run_sweep(
 
     Results come back in the same order as ``specs`` regardless of the
     completion order of the workers.  ``jobs=1`` runs inline (no pool), so
-    a parallel sweep can always be checked against a serial one.  A cell
-    that raises is retried ``retries`` times and then reported as a
-    failed :class:`RunResult`; the sweep itself never aborts.
+    a parallel sweep can always be checked against a serial one; a set
+    ``cell_timeout_s`` always takes the pool path, with at least one
+    worker.  A cell that raises is retried ``retries`` times and then
+    reported as a failed :class:`RunResult`; the sweep itself never aborts.
 
     Graceful degradation (parallel path):
 
@@ -433,12 +434,13 @@ def run_sweep(
             ),
         )
 
-    if jobs <= 1 or len(misses) <= 1:
+    # Only a worker process can be killed when a cell overruns its timeout.
+    if not misses or (cell_timeout_s is None and (jobs <= 1 or len(misses) <= 1)):
         for i in misses:
             record(i, _execute_cell(specs[i], retries=retries))
         return [r for r in results if r is not None]
 
-    max_workers = min(jobs, len(misses))
+    max_workers = max(1, min(jobs, len(misses)))
     queue: deque[int] = deque(misses)
     suspects: deque[int] = deque()
     crash_marks = {i: 0 for i in misses}

@@ -93,6 +93,17 @@ def full_scale() -> bool:
     return os.environ.get("REPRO_FULL", "0") == "1"
 
 
+def _slice_ns(slice_ms: Optional[float]) -> Optional[int]:
+    """A slice in ms -> integer ns (``None`` passes through).  A slice that
+    is not at least 1 ns would never let the simulated clock advance."""
+    if slice_ms is None:
+        return None
+    ns = ns_from_ms(slice_ms)
+    if ns < 1:
+        raise ValueError(f"time slice must be positive, got {slice_ms!r} ms")
+    return ns
+
+
 # ----------------------------------------------------------------------
 def _world(
     n_nodes: int,
@@ -183,7 +194,7 @@ def run_type_a(
     """
     world = _world(
         n_nodes, scheduler, seed, sched_params=sched_params, vcpus_per_vm=vcpus_per_vm,
-        uniform_slice_ns=None if uniform_slice_ms is None else ns_from_ms(uniform_slice_ms),
+        uniform_slice_ns=_slice_ns(uniform_slice_ms),
         **run,
     )
     apps = []
@@ -295,7 +306,7 @@ def run_slice_sweep(
     total_events = 0
     for sm in slice_ms_values:
         world = _world(
-            n_nodes, "CR", seed, uniform_slice_ns=ns_from_ms(sm),
+            n_nodes, "CR", seed, uniform_slice_ns=_slice_ns(sm),
             vcpus_per_vm=vcpus_per_vm, **run,
         )
         apps = []
@@ -348,7 +359,7 @@ def run_small_mix(
         2,
         scheduler,
         seed,
-        uniform_slice_ns=None if uniform_slice_ms is None else ns_from_ms(uniform_slice_ms),
+        uniform_slice_ns=_slice_ns(uniform_slice_ms),
         sched_params=sched_params,
         **run,
     )
@@ -358,12 +369,7 @@ def run_small_mix(
         bg_apps.append(world.add_npb(parallel_app, vc.vms, rounds=None, warmup_rounds=1))
     np1 = world.new_vm(node_idx=0, name="np0")
     np2 = world.new_vm(node_idx=1, name="np1")
-    if atc_np_slice_ms is not None:
-        np1.admin_slice_ns = ns_from_ms(atc_np_slice_ms)
-        np2.admin_slice_ns = ns_from_ms(atc_np_slice_ms)
-    if uniform_slice_ms is not None:
-        np1.slice_ns = ns_from_ms(uniform_slice_ms)
-        np2.slice_ns = ns_from_ms(uniform_slice_ms)
+    np1.admin_slice_ns = np2.admin_slice_ns = _slice_ns(atc_np_slice_ms)
     sphinx = world.add_cpu_app("sphinx3", np1)
     stream = world.add_stream(np1)
     bonnie = world.add_bonnie(np2)
@@ -472,10 +478,11 @@ def run_type_b_mixed(
         app_name = rng.choice(NPB_NAMES)
         vc_apps.append((vc, world.add_npb(app_name, vc.vms, rounds=None, warmup_rounds=1)))
 
+    np_slice_ns = _slice_ns(atc_np_slice_ms)
+
     def np_vm(name):
         vm = world.new_vm(name=name)
-        if atc_np_slice_ms is not None:
-            vm.admin_slice_ns = ns_from_ms(atc_np_slice_ms)
+        vm.admin_slice_ns = np_slice_ns
         return vm
 
     web_vm = np_vm("web")
@@ -550,7 +557,7 @@ def run_packet_path_probe(
     """
     world = _world(
         2, scheduler, seed,
-        uniform_slice_ns=None if uniform_slice_ms is None else ns_from_ms(uniform_slice_ms),
+        uniform_slice_ns=_slice_ns(uniform_slice_ms),
         sched_params=sched_params,
         **run,
     )

@@ -1,8 +1,37 @@
 """Tests for the command-line interface."""
 
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import VERBS, build_parser, main
+
+#: Every table verb at tiny params: (argv, first stdout line).
+TABLE_VERBS = {
+    "typea": (["typea", "--app", "is", "--scheduler", "CR", "--rounds", "1"],
+              "Evaluation type A"),
+    "compare": (["compare", "--app", "is", "--rounds", "1"],
+                "Type A comparison — is on 2 nodes"),
+    "sweep": (["sweep", "--app", "is", "--slices", "30,1"], "Slice sweep — is.B (CR)"),
+    "mix": (["mix", "--scheduler", "CR", "--horizon", "2"], "Mixed tenancy — CR"),
+    "typeb": (["typeb", "--scheduler", "CR", "--nodes", "4", "--horizon", "2"],
+              "Type B (LLNL trace mix) — CR on 4 nodes"),
+    "chaos": (["chaos", "--app", "is", "--rounds", "1", "--horizon", "2",
+               "--faults", "random:1:1"],
+              "Chaos — is on 2 nodes, plan random:1:1"),
+    "migrate": (["migrate", "--horizon", "1"],
+                "Migration rebalance — lu x2 clusters, pack placement on 3 nodes"),
+    "dfrs": (["dfrs", "--horizon", "1"],
+             "DFRS comparator — lu x2 clusters, pack placement on 3 nodes"),
+    "serve": (["serve", "--tenants", "2", "--rate", "4", "--horizon", "2"],
+              "Service — fcfs-queue admission, poisson arrivals on 3 nodes"),
+    "attack": (["attack", "--scheduler", "CR", "--horizon", "1"],
+               "Adversarial tenancy — lu victim (tick-sampled accounting; "
+               "gain = CPU consumed / CPU debited)"),
+    "probe": (["probe", "--scheduler", "CR", "--probes", "10"],
+              "Packet-path probe — CR (10 probes)"),
+}
 
 
 def test_parser_requires_command():
@@ -25,6 +54,44 @@ def test_list_command(capsys):
     out = capsys.readouterr().out
     for name in ("CR", "ATC", "lu", "ep", "ft"):
         assert name in out
+
+
+def test_list_names_every_table_verb(capsys):
+    assert list(VERBS) == list(TABLE_VERBS)
+    assert main(["list"]) == 0
+    line = next(ln for ln in capsys.readouterr().out.splitlines()
+                if ln.startswith("experiments:"))
+    assert line.split(":", 1)[1].strip().split(", ") == list(TABLE_VERBS)
+
+
+def test_compare_has_no_scheduler_flag():
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["compare", "--scheduler", "CR"])
+
+
+@pytest.mark.parametrize("verb", list(TABLE_VERBS))
+def test_table_verb_runs(verb, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # chaos writes its salvage report to cwd
+    argv, title = TABLE_VERBS[verb]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[0] == title
+
+
+def test_table_verb_cells_are_pinned():
+    """The cells each verb declares for a fixed argv, without running
+    them, are the ones recorded in ``cli_cells.json``."""
+    pinned = json.loads((Path(__file__).parent / "cli_cells.json").read_text())
+    assert list(pinned) == list(TABLE_VERBS)
+    for verb, (argv, _) in TABLE_VERBS.items():
+        args = build_parser().parse_args(argv)
+        assert [s.to_dict() for s in VERBS[verb].cells(args)] == pinned[verb], verb
+
+
+def test_usage_errors_exit_2_before_any_cell_runs(capsys):
+    assert main(["sweep", "--slices", "30,abc"]) == 2
+    assert "--slices expects comma-separated ms values" in capsys.readouterr().err
+    assert main(["chaos", "--faults", "[]"]) == 2
+    assert "empty plan" in capsys.readouterr().err
 
 
 def test_typea_command(capsys):

@@ -93,6 +93,16 @@ def test_cell_timeout_kills_hang_and_preserves_neighbours():
     assert stats["timeouts"] == 1 and stats["ok"] == 2
 
 
+def test_cell_timeout_applies_to_sweeps_that_would_run_inline():
+    """One job, or one uncached cell, runs inline when no timeout is set;
+    with a timeout the hung cell must still be killed."""
+    hang = RunSpec("fault_probe", {"mode": "hang", "hang_s": 3.0}, label="probe:hang")
+    for jobs, specs in ((1, [hang]), (2, [hang]), (1, [OK, hang])):
+        results = run_sweep(specs, jobs=jobs, use_cache=False, cell_timeout_s=0.5)
+        assert results[-1].error["type"] == CellTimeoutError.__name__, (jobs, len(specs))
+        assert all(r.ok for r in results[:-1])
+
+
 def test_worker_crash_is_retried_then_reported():
     crash = RunSpec("fault_probe", {"mode": "exit"}, label="probe:exit")
     results = run_sweep([OK, crash, OK], jobs=2, use_cache=False, retries=1)

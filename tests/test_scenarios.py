@@ -4,7 +4,9 @@ import math
 
 import pytest
 
+from repro.experiments.harness import CloudWorld, WorldConfig
 from repro.experiments.reporting import format_normalized, format_table
+from repro.experiments.runner import RunSpec, run_sweep
 from repro.experiments.scenarios import (
     RUN_OPTIONS,
     _world,
@@ -36,6 +38,30 @@ def test_world_rejects_keys_outside_run_options():
 def test_scenario_rejects_keys_outside_run_options():
     with pytest.raises(TypeError, match="period_ns"):
         run_type_a("is", "CR", n_nodes=2, period_ns=5)
+
+
+@pytest.mark.parametrize("scenario,params", [
+    ("type_a", dict(app_name="is", scheduler="CR", n_nodes=2, rounds=1, uniform_slice_ms=0)),
+    ("small_mix", dict(scheduler="CR", horizon_s=1.0, uniform_slice_ms=0)),
+    ("small_mix", dict(scheduler="ATC", horizon_s=1.0, atc_np_slice_ms=0)),
+    ("packet_path_probe", dict(scheduler="CR", n_probes=5, uniform_slice_ms=0)),
+    ("slice_sweep", dict(app_name="is", slice_ms_values=[-1.0], rounds=1)),
+    ("slice_sweep", dict(app_name="is", slice_ms_values=[1e-7], rounds=1)),
+])
+def test_non_positive_slice_is_rejected_before_the_run(scenario, params):
+    """A slice under 1 ns would freeze the simulated clock (zero) or
+    schedule into the past (negative); the cell must fail with a
+    ValueError naming the value, not spin until the watchdog fires."""
+    spec = RunSpec(scenario, params, max_sim_events=200_000)
+    (r,) = run_sweep([spec], use_cache=False, retries=0)
+    assert not r.ok
+    assert r.error["type"] == "ValueError", r.error["message"]
+    assert "time slice must be positive" in r.error["message"]
+
+
+def test_world_rejects_sub_nanosecond_uniform_slice():
+    with pytest.raises(ValueError, match="uniform_slice_ns"):
+        CloudWorld(WorldConfig(uniform_slice_ns=0))
 
 
 def test_slice_sweep_rows():
